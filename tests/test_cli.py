@@ -109,3 +109,24 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["minima", "--alpha", "2", "--p", "3", "--nmax", "2"]) == 2
     capsys.readouterr()
+
+
+def test_cf_count_below_one_rejected(capsys, deadline):
+    for count in ("0", "-1"):
+        with deadline(10):
+            assert main(["cf", "--count", count]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def test_bad_bound_and_alpha_rejected(capsys, deadline):
+    # each of these ran forever (a nan or inf bound) or printed a header first
+    cases = [["records", "--qmax-log10", v] for v in ("nan", "inf", "-inf", "0", "-5", "x")]
+    cases += [["verify-measure", "--qmax-log10", v] for v in ("nan", "inf", "0")]
+    for alpha in ("0", "-1/2"):
+        cases += [["cf", "--alpha", alpha, "--count", "3"],
+                  ["records", "--alpha", alpha, "--qmax-log10", "5"],
+                  ["verify-measure", "--alpha", alpha]]
+    for argv in cases:
+        with deadline(10):
+            assert main(argv) == 2, argv
+        assert capsys.readouterr().out == "", argv
