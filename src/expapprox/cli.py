@@ -2,13 +2,18 @@
 
 Every run prints one header line (version, subcommand, echoed config, seed)
 followed by TSV or JSON output.  Exit codes: 0 success, 1 a verification
-subcommand found a violation, 2 usage error.  Output is byte-identical for
-identical config and seed; no timestamps are emitted.
+subcommand found a violation, 2 usage error (malformed or unsupported input),
+3 undecided (a numerical path failed or the precision ran out).  A
+subcommand that fails prints one ``error:`` line on stderr.  Output is
+byte-identical for identical config and seed; no timestamps are emitted.
+
+``main`` may be called repeatedly in one process; it builds its parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -20,6 +25,7 @@ from . import cf as cfmod
 from . import forest as fmod
 from . import hermite as hmod
 from . import minima as mmod
+from . import padic as pmod
 
 
 def _rat(s: str) -> Fraction:
@@ -37,10 +43,17 @@ def _pos_rat(s: str) -> Fraction:
 
 
 def _pos_int(s: str) -> int:
+    """An integer >= 1, also in float notation with an integral value (2e5)."""
     try:
         x = int(s)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer {s!r}")
+        try:
+            f = float(s)
+        except ValueError:
+            f = math.nan
+        if not f.is_integer():
+            raise argparse.ArgumentTypeError(f"bad integer {s!r}")
+        x = int(f)
     if x < 1:
         raise argparse.ArgumentTypeError(f"{s!r} is not at least 1")
     return x
@@ -80,7 +93,7 @@ def _fmt_val(v) -> str:
 
 
 def _header(args: argparse.Namespace, **extra) -> str:
-    skip = {"func", "format", "command"}
+    skip = {"format", "command"}
     fields = [f"{k}={_fmt_val(v)}" for k, v in sorted(vars(args).items())
               if k not in skip and v is not None]
     fields += [f"{k}={_fmt_val(v)}" for k, v in extra.items()]
@@ -148,7 +161,7 @@ def cmd_verify_measure(args, out) -> int:
 
 def cmd_minima(args, out) -> int:
     if args.alpha != Fraction(3) or args.p != 3:
-        raise SystemExit("only the alpha=3, p=3 family is implemented (exit 2)")
+        raise ValueError("only the alpha=3, p=3 family is implemented")
     table = mmod.minima_sandwich(args.nmax)
     print(_header(args), file=out)
     for r in table.rows:
@@ -271,76 +284,81 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="expapprox", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(func=fn)
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         return p
 
-    p = add("hermite", cmd_hermite, help="approximation point at a multi-index")
+    p = add("hermite", help="approximation point at a multi-index")
     p.add_argument("--alphas", type=_rat_list, required=True)
     p.add_argument("--n", type=_int_list, required=True)
 
-    p = add("mahler", cmd_mahler, help="neighbouring-point matrix vs closed-form determinant")
+    p = add("mahler", help="neighbouring-point matrix vs closed-form determinant")
     p.add_argument("--alphas", type=_rat_list, required=True)
     p.add_argument("--n", type=_int_list, required=True)
 
-    p = add("cf", cmd_cf, help="partial quotients of e^alpha")
+    p = add("cf", help="partial quotients of e^alpha")
     p.add_argument("--alpha", type=_pos_rat, default=Fraction(3))
     p.add_argument("--count", type=_pos_int, required=True)
 
-    p = add("records", cmd_records, help="running-maximum partial quotients")
+    p = add("records", help="running-maximum partial quotients")
     p.add_argument("--alpha", type=_pos_rat, default=Fraction(3))
     p.add_argument("--qmax-log10", dest="qmax_log10", type=_pos_float, required=True)
 
-    p = add("verify-measure", cmd_verify_measure,
-            help="irrationality-measure inequality at reduced range")
+    p = add("verify-measure", help="irrationality-measure inequality at reduced range")
     p.add_argument("--alpha", type=_pos_rat, default=Fraction(3))
     p.add_argument("--qmax-log10", dest="qmax_log10", type=_pos_float, default=2000.0)
 
-    p = add("minima", cmd_minima, help="successive minima sandwich for the e^3 family")
+    p = add("minima", help="successive minima sandwich for the e^3 family")
     p.add_argument("--alpha", type=_rat, default=Fraction(3))
     p.add_argument("--p", type=int, default=3)
-    p.add_argument("--nmax", type=int, default=20)
+    p.add_argument("--nmax", type=_pos_int, default=20)
 
-    p = add("volume", cmd_volume, help="Monte-Carlo volume vs the determinant sandwich")
+    p = add("volume", help="Monte-Carlo volume vs the determinant sandwich")
     p.add_argument("--alphas", type=_rat_list, required=True)
     p.add_argument("--n", type=_int_list, required=True)
-    p.add_argument("--samples", type=lambda s: int(float(s)), default=1_000_000)
+    p.add_argument("--samples", type=_pos_int, default=1_000_000)
     p.add_argument("--seed", type=int, default=42)
 
-    p = add("forest", cmd_forest, help="rooted forest on a p-adic point set")
+    p = add("forest", help="rooted forest on a p-adic point set")
     p.add_argument("--points", type=_rat_list, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--delta-exp", dest="delta_exp", type=_rat, default=None)
 
-    p = add("ascent", cmd_ascent, help="steepest-ascent tree between polynomial roots")
+    p = add("ascent", help="steepest-ascent tree between polynomial roots")
     p.add_argument("--roots", type=_complex_list, required=True)
     p.add_argument("--mults", type=_int_list, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", default=None)
     p.add_argument("--csv", default=None)
 
-    p = add("semires", cmd_semires, help="semi-resultant two-sided identity")
+    p = add("semires", help="semi-resultant two-sided identity")
     p.add_argument("--roots", type=_complex_list, required=True)
     p.add_argument("--mults", type=_int_list, default=None)
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    # resolved per call, so a replaced cmd_* (a test's, a tracer's) is the one run
+    cmd = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, sys.stdout)
-    except SystemExit:
-        return 2
+        return cmd(args, sys.stdout)
     except (ValueError, KeyError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (asc.NumericalFailure, mmod.PrecisionExhausted, pmod.PrecisionExhausted) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

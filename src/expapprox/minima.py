@@ -519,14 +519,19 @@ class MCVolume:
         return self.estimate - 3 * self.stderr, self.estimate + 3 * self.stderr
 
 
+# fixed, so the derived chunk seeds (and the hits) do not depend on the workers
+MC_CHUNKS = 16
+
+
 def mc_volume(spec: ArchBodySpec, samples: int = 1_000_000, seed: int = 42) -> MCVolume:
     """Hit-or-miss estimate of the body volume.
 
     Samples uniformly in the parallelepiped cut out by |x_1| <= box_1 and the
     chain forms |x_i e^{a_{i+1} - a_i} - x_{i+1}| <= b_{i,i+1} (unimodular in
     the coordinates, and a superset of the body), then tests full membership.
-    Sampling splits into derived-seed chunks, so the result is independent of
-    the worker count.
+    Sampling splits into MC_CHUNKS derived-seed chunks whatever the worker
+    count, so the result is independent of it.  EXPAPPROX_THREADS asks for
+    workers; at most min(MC_CHUNKS, os.cpu_count()) run.
     """
     s = spec.s
     if s < 2:
@@ -539,10 +544,14 @@ def mc_volume(spec: ArchBodySpec, samples: int = 1_000_000, seed: int = 42) -> M
     for w in widths:
         region *= 2.0 * w
 
-    threads = max(1, int(os.environ.get("EXPAPPROX_THREADS", "1")))
-    chunks = max(threads * 4, 16)
-    base = samples // chunks
-    sizes = [base + (1 if c < samples % chunks else 0) for c in range(chunks)]
+    v = os.environ.get("EXPAPPROX_THREADS", "1")
+    try:
+        threads = max(1, int(v))
+    except ValueError:
+        raise ValueError(f"EXPAPPROX_THREADS must be an integer, got {v!r}") from None
+    workers = min(threads, MC_CHUNKS, os.cpu_count() or 1)
+    base = samples // MC_CHUNKS
+    sizes = [base + (1 if c < samples % MC_CHUNKS else 0) for c in range(MC_CHUNKS)]
 
     def run_chunk(c: int, size: int) -> int:
         if size == 0:
@@ -560,10 +569,10 @@ def mc_volume(spec: ArchBodySpec, samples: int = 1_000_000, seed: int = 42) -> M
             ok &= np.abs(x[:, i] * spec.e_values[(i, j)] - x[:, j]) <= b
         return int(ok.sum())
 
-    if threads > 1:
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            hits = sum(ex.map(run_chunk, range(chunks), sizes))
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            hits = sum(ex.map(run_chunk, range(MC_CHUNKS), sizes))
     else:
         hits = sum(run_chunk(c, sz) for c, sz in enumerate(sizes))
 

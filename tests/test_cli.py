@@ -1,6 +1,16 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 
+import expapprox
+from expapprox import cli
+from expapprox import minima as mmod
+from expapprox import padic as pmod
 from expapprox.cli import main
 
 
@@ -93,11 +103,45 @@ def test_ascent_and_semires(capsys, tmp_path):
 
 
 def test_deterministic_output(capsys):
-    _, h1, l1 = run(capsys, "volume", "--alphas", "0,3", "--n", "1,1",
-                    "--samples", "2e4", "--seed", "11")
-    _, h2, l2 = run(capsys, "volume", "--alphas", "0,3", "--n", "1,1",
-                    "--samples", "2e4", "--seed", "11")
-    assert (h1, l1) == (h2, l2)
+    # one parser serves every call: no parsed value may leak into the next call
+    calls = [
+        ["forest", "--points", "0,3,6,1", "--p", "3", "--delta-exp", "1/3"],
+        ["forest", "--points", "0,3,6,1", "--p", "3"],
+        ["ascent", "--roots", "1,1j,-1,-1j", "--mults", "2,1,1,1"],
+        ["ascent", "--roots", "1,1j,-1,-1j"],
+        ["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "2e4", "--seed", "11"],
+        ["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "2e4"],
+        ["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "2e4", "--seed", "12"],
+        ["cf", "--count", "5", "--format", "json"],
+        ["cf", "--count", "5"],
+    ]
+    first = {}
+    for argv in calls + calls[::-1]:
+        code = main(argv)
+        got = (code, capsys.readouterr().out)
+        assert got == first.setdefault(tuple(argv), got), argv
+    assert len(set(first.values())) == len(calls)
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    for argv in (["cf", "--count", "3"], ["hermite", "--alphas", "0,3", "--n", "1,1"],
+                 ["nosuchcommand"], ["cf", "--count", "3"]):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_command_resolved_per_call(monkeypatch, capsys):
+    assert main(["cf", "--count", "3"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_cf", lambda args, out: seen.append(args.count) or 7)
+    assert main(["cf", "--count", "5"]) == 7
+    assert seen == [5]
+    assert capsys.readouterr().out.count("\n") == 4
 
 
 def test_usage_errors(capsys):
@@ -130,3 +174,83 @@ def test_bad_bound_and_alpha_rejected(capsys, deadline):
         with deadline(10):
             assert main(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
+
+
+def test_numerical_failure_is_exit_3(deadline):
+    # run as a program, so an escaping exception would show as a traceback
+    env = {**os.environ, "PYTHONPATH": str(Path(expapprox.__file__).parents[1])}
+    with deadline(60):
+        proc = subprocess.run([sys.executable, "-m", "expapprox.cli", "ascent",
+                               "--roots", "0,1e-7,1"], capture_output=True, text=True,
+                              env=env)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: critical point") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("exc", [mmod.PrecisionExhausted, pmod.PrecisionExhausted])
+def test_precision_exhausted_is_exit_3(monkeypatch, capsys, deadline, exc):
+    def give_up(nmax):
+        raise exc("sandwich undecided")
+
+    monkeypatch.setattr(mmod, "minima_sandwich", give_up)
+    with deadline(10):
+        assert main(["minima", "--nmax", "2"]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: sandwich undecided\n"
+
+
+def test_malformed_counts_rejected(capsys, deadline):
+    cases = [["minima", "--nmax", v] for v in ("0", "-1", "2.5")]
+    cases += [["volume", "--alphas", "0,3", "--n", "1,1", "--samples", v]
+              for v in ("0", "-5", "1.5", "nan", "inf", "x")]
+    for argv in cases:
+        with deadline(10):
+            assert main(argv) == 2, argv
+        cap = capsys.readouterr()
+        assert cap.out == "" and "Traceback" not in cap.err, argv
+
+
+VOLUME = ["volume", "--alphas", "0,1,3", "--n", "1,1,1", "--samples", "2e5", "--seed", "42"]
+
+
+def test_volume_independent_of_threads(monkeypatch, capsys, deadline):
+    outs = set()
+    for threads in ("1", "2", "8"):
+        monkeypatch.setenv("EXPAPPROX_THREADS", threads)
+        with deadline(30):
+            assert main(VOLUME) == 0
+        outs.add(capsys.readouterr().out)
+    assert len(outs) == 1
+    header, line = outs.pop().splitlines()
+    assert "samples=200000" in header.split()
+    assert json.loads(line)["hits"] == 9322
+
+
+def test_volume_workers_capped(monkeypatch, capsys, deadline):
+    workers = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def spy(max_workers):
+        workers.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("EXPAPPROX_THREADS", "8")
+    with deadline(30):
+        assert main(["volume", "--alphas", "0,1,3", "--n", "1,1,1", "--samples", "2e4"]) == 0
+    capsys.readouterr()
+    assert workers == [2]
+
+
+def test_bad_thread_count(monkeypatch, capsys, deadline):
+    for value in ("two", "1.5"):
+        monkeypatch.setenv("EXPAPPROX_THREADS", value)
+        with deadline(10):
+            assert main(VOLUME) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err == f"error: EXPAPPROX_THREADS must be an integer, got {value!r}\n"
