@@ -5,9 +5,10 @@ The central family (for e^3): bodies
     C_n = {(x,y): |x| <= (2n)!/(n! 3^{n/2}),  |x e^3 - y| <= (3/2)^{2n}/(n! 3^{n/2})}
 
 against the lattices  L_n = {(x,y) in Z^2 : x e^3 = y mod 3^n}.  All minima
-comparisons run in exact rational interval arithmetic; e^3 enters only as an
-interval that is refined until every comparison separates.  Internally the
-bodies are rescaled by 3^{n/2} so that all bounds are rational.
+comparisons run in exact rational interval arithmetic (the window gauges as
+integers over one common denominator); e^3 enters only as an interval that
+is refined until every comparison separates.  Internally the bodies are
+rescaled by 3^{n/2} so that all bounds are rational.
 
 Also here: binary-splitting interval exponentials, the rescaled adelic body
 of the diagonal case, Archimedean body specs with quadrature form bounds, and
@@ -17,13 +18,13 @@ hit-or-miss Monte-Carlo volume estimates with a pair-form importance region.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .hermite import check_alphas, mahler_det, rat_str
 from .padic import PAdicContext, delta_exponent, padic_exp, val_rational
@@ -102,14 +103,6 @@ def exp_interval(alpha, bits: int = 64) -> RealInterval:
     total, _ = _series_split(alpha, 0, m)
     tail = 2 * alpha ** m / math.factorial(m)
     return _round_interval(total, total + tail, bits + 2)
-
-
-def _abs_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    if lo >= 0:
-        return lo, hi
-    if hi <= 0:
-        return -hi, -lo
-    return Fraction(0), max(-lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +209,6 @@ class Minima2Result:
     bits: int
 
 
-def _norm_interval(x: int, y: int, body: Body2, E: RealInterval) -> tuple[Fraction, Fraction]:
-    b1 = abs(Fraction(x)) / body.scaled_x
-    w_lo, w_hi = (x * E.lo - y, x * E.hi - y) if x >= 0 else (x * E.hi - y, x * E.lo - y)
-    a_lo, a_hi = _abs_interval(w_lo, w_hi)
-    return max(b1, a_lo / body.scaled_form), max(b1, a_hi / body.scaled_form)
-
-
 def _norm_mid(x: int, y: int, body: Body2, m: Fraction) -> Fraction:
     return max(abs(Fraction(x)) / body.scaled_x, abs(x * m - y) / body.scaled_form)
 
@@ -253,42 +239,77 @@ def _gauss_reduce(body: Body2, lat: Lattice2, m: Fraction):
         if best_q == 0:
             return a, b
         b = (b[0] - best_q * a[0], b[1] - best_q * a[1])
-    raise AssertionError("basis reduction did not settle")
+    raise PrecisionExhausted("basis reduction did not settle")
 
 
-def _enumerate_minima(body: Body2, lat: Lattice2, E: RealInterval, window: int):
+def _select_minima(den: int, pts):
+    """lam1, lam2 enclosures and witnesses from scored points in loop order.
+
+    Each witness is the first point with the least (hi, lo) gauge; the lower
+    ends are the least lo over the candidates.  Gauges are integers over den.
+    """
+    hi1, _, x1, y1, _ = min(pts, key=operator.itemgetter(0, 1))
+    lo1 = min(t[1] for t in pts)
+    # second minimum: points independent from the first witness
+    indep = [t for t in pts if t[2] * y1 - t[3] * x1 != 0]
+    hi2, _, x2, y2, _ = min(indep, key=operator.itemgetter(0, 1))
+    lo2 = min(t[1] for t in indep)  # >= lo1, as indep is a subset of pts
+    return (RealInterval(Fraction(lo1, den), Fraction(hi1, den)),
+            RealInterval(Fraction(lo2, den), Fraction(hi2, den)), (x1, y1), (x2, y2))
+
+
+def _enumerate_minima(body: Body2, lat: Lattice2, E: RealInterval, *windows: int):
+    """(lam1, lam2, witness1, witness2) for each coefficient window in windows.
+
+    The largest window is scored once around the reduced basis; a smaller
+    window reads its answer from the inner points, whose loop order is a
+    sub-order of the outer one, so its witnesses and ties are its own.
+    Every gauge is an exact integer over den = Xn D Yn, with X = Xn/Xd,
+    Y = Yn/Yd and D the common denominator of E.lo and E.hi:
+
+        |x|/X -> |x| Xd D Yn,    |x E - y|/Y -> |x e - y D| Yd Xn  (e = E D).
+    """
     a, b = _gauss_reduce(body, lat, E.mid)
-    best: list[tuple[Fraction, Fraction, tuple[int, int]]] = []
-    for pa in range(-window, window + 1):
-        for pb in range(-window, window + 1):
+    X, Y = body.scaled_x, body.scaled_form
+    d = math.lcm(E.lo.denominator, E.hi.denominator)
+    e_lo = E.lo.numerator * (d // E.lo.denominator)
+    e_hi = E.hi.numerator * (d // E.hi.denominator)
+    cx = X.denominator * d * Y.numerator
+    cy = Y.denominator * X.numerator
+    w = max(windows)
+    pts = []  # (hi, lo, x, y, max(|pa|, |pb|)) in loop order
+    for pa in range(-w, w + 1):
+        for pb in range(-w, w + 1):
             if pa == 0 and pb == 0:
                 continue
-            v = (pa * a[0] + pb * b[0], pa * a[1] + pb * b[1])
-            lo, hi = _norm_interval(v[0], v[1], body, E)
-            best.append((hi, lo, v))
-    best.sort(key=lambda t: (t[0], t[1]))
-    hi1, _, w1 = best[0]
-    lo1 = min(t[1] for t in best)
-    # second minimum: points independent from the first witness
-    indep = [t for t in best if t[2][0] * w1[1] - t[2][1] * w1[0] != 0]
-    hi2, _, w2 = indep[0]
-    lo2 = min(t[1] for t in indep)
-    lo2 = max(lo2, lo1)  # lam1 <= lam2 by definition
-    return RealInterval(lo1, hi1), RealInterval(lo2, hi2), w1, w2
+            x, y = pa * a[0] + pb * b[0], pa * a[1] + pb * b[1]
+            yd = y * d
+            # x E - y as an integer interval over D
+            lo, hi = (x * e_lo - yd, x * e_hi - yd) if x >= 0 else (x * e_hi - yd, x * e_lo - yd)
+            if hi <= 0:
+                lo, hi = -hi, -lo
+            elif lo < 0:
+                lo, hi = 0, max(-lo, hi)
+            gx = abs(x) * cx
+            pts.append((max(gx, hi * cy), max(gx, lo * cy), x, y, max(abs(pa), abs(pb))))
+    den = X.numerator * d * Y.numerator
+    return [_select_minima(den, pts if v == w else [t for t in pts if t[4] <= v])
+            for v in windows]
 
 
 def minima2(body: Body2, lat: Lattice2, E: RealInterval,
             window: int = 32, bits: int = 192, max_retries: int = 3) -> Minima2Result:
     """First and second minima of the body with respect to the lattice.
 
-    Reduces the basis under the body gauge, enumerates coefficient windows
-    around it, and returns interval enclosures of the minima with the witness
-    points.  The window doubles once as a sufficiency re-check; a changing
-    answer doubles it again before giving up.
+    Reduces the basis under the body gauge, scores the doubled coefficient
+    window around it once, in exact integers, and returns interval
+    enclosures of the minima with the witness points.  The window's answer
+    is read from the inner points and the doubled window's answer is its
+    sufficiency re-check; a changing answer doubles the window again before
+    giving up.
     """
     for attempt in range(max_retries):
-        l1, l2, w1, w2 = _enumerate_minima(body, lat, E, window)
-        l1d, l2d, _, _ = _enumerate_minima(body, lat, E, 2 * window)
+        (l1, l2, w1, w2), (l1d, l2d, _, _) = _enumerate_minima(body, lat, E, window, 2 * window)
         if l1d.hi == l1.hi and l2d.hi == l2.hi:
             return Minima2Result(l1, l2, w1, w2, bits)
         window *= 2
@@ -475,6 +496,8 @@ def archimedean_body(alphas: Sequence, orders: Sequence[int], bits: int = 64) ->
     b_ij = max_k | integral of f_{n-e_k}(z) e^{a_j - z} dz |; box bounds are
     e^R (N-1)! with R the largest pairwise distance.
     """
+    from scipy.integrate import quad  # imported here: no other command needs scipy
+
     a = check_alphas(alphas)
     n = tuple(int(x) for x in orders)
     if any(x < 1 for x in n):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
@@ -74,6 +75,18 @@ def test_minima_small(capsys):
     code, _, lines = run(capsys, "minima", "--nmax", "3")
     assert code == 0
     assert len([l for l in lines if not l.startswith("# ")]) == 3
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["minima", "--nmax", "20"],
+     "ef70149d785a4fe65f31799b78e2155008aa9b424ccc5c2afefd39558fb6af19"),
+    (["minima", "--nmax", "8", "--format", "json"],
+     "cc67b69ebf250a82f0da353f92ecc4e1d0daf8e99a73d463453c1fc11a8554ee"),
+])
+def test_minima_stdout_pinned(capsys, argv, digest):
+    # sha256 of the whole stdout, recorded with the Fraction-gauge enumeration
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_volume_subcommand(capsys):
@@ -254,3 +267,45 @@ def test_bad_thread_count(monkeypatch, capsys, deadline):
         cap = capsys.readouterr()
         assert cap.out == ""
         assert cap.err == f"error: EXPAPPROX_THREADS must be an integer, got {value!r}\n"
+
+
+SCIPY_FREE = [
+    ["minima", "--nmax", "2"], ["cf", "--count", "5"], ["records", "--qmax-log10", "20"],
+    ["verify-measure", "--qmax-log10", "50"], ["hermite", "--alphas", "0,3", "--n", "1,1"],
+    ["mahler", "--alphas", "0,3", "--n", "1,1"], ["forest", "--points", "0,3,6", "--p", "3"],
+]
+
+
+def test_scipy_loaded_only_by_volume(deadline):
+    # a fresh interpreter: this process may have loaded scipy already
+    script = f"""
+import contextlib, io, sys
+import expapprox.cli
+expapprox.cli.build_parser()
+assert "scipy" not in sys.modules, "import"
+for argv in {SCIPY_FREE!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert expapprox.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    expapprox.cli.main(["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "100"])
+assert "scipy" in sys.modules, "volume"
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(expapprox.__file__).parents[1])}
+    with deadline(60):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_basis_reduction_failure_is_exit_3(monkeypatch, capsys, deadline):
+    def reduce_52(nmax):
+        return mmod.minima2(mmod.e3_body(52), mmod.exp_lattice(52, 3, 3),
+                            mmod.exp_interval(3, 832))
+
+    monkeypatch.setattr(mmod, "minima_sandwich", reduce_52)
+    with deadline(10):
+        assert main(["minima", "--nmax", "2"]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: basis reduction did not settle\n"

@@ -2,8 +2,56 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expapprox import minima as mm
+
+
+# reference gauge: the body norm of a point as a Fraction interval, E an interval
+
+def _abs_interval(lo, hi):
+    if lo >= 0:
+        return lo, hi
+    if hi <= 0:
+        return -hi, -lo
+    return Fraction(0), max(-lo, hi)
+
+
+def _norm_interval(x, y, body, E):
+    b1 = abs(Fraction(x)) / body.scaled_x
+    w_lo, w_hi = (x * E.lo - y, x * E.hi - y) if x >= 0 else (x * E.hi - y, x * E.lo - y)
+    a_lo, a_hi = _abs_interval(w_lo, w_hi)
+    return max(b1, a_lo / body.scaled_form), max(b1, a_hi / body.scaled_form)
+
+
+def _window_points(body, lat, E, window):
+    a, b = mm._gauss_reduce(body, lat, E.mid)
+    return [(pa * a[0] + pb * b[0], pa * a[1] + pb * b[1])
+            for pa in range(-window, window + 1) for pb in range(-window, window + 1)
+            if (pa, pb) != (0, 0)]
+
+
+def _enumerate_reference(body, lat, E, window):
+    """The minima of one window by Fraction gauges and a stable sort."""
+    best = []
+    for v in _window_points(body, lat, E, window):
+        lo, hi = _norm_interval(v[0], v[1], body, E)
+        best.append((hi, lo, v))
+    best.sort(key=lambda t: (t[0], t[1]))
+    hi1, _, w1 = best[0]
+    lo1 = min(t[1] for t in best)
+    indep = [t for t in best if t[2][0] * w1[1] - t[2][1] * w1[0] != 0]
+    hi2, _, w2 = indep[0]
+    lo2 = max(min(t[1] for t in indep), lo1)
+    return mm.RealInterval(lo1, hi1), mm.RealInterval(lo2, hi2), w1, w2
+
+
+def _assert_matches_reference(body, lat, E, windows):
+    got = mm._enumerate_minima(body, lat, E, *windows)
+    assert len(got) == len(windows)
+    for w, res in zip(windows, got):
+        assert res == _enumerate_reference(body, lat, E, w), w
 
 
 def test_exp_interval_basics():
@@ -83,10 +131,88 @@ def test_minima_witnesses_live_in_lattice():
         # claimed dilation
         for w, lam in ((res.witness1, res.lam1), (res.witness2, res.lam2)):
             assert lat.contains(*w)
-            lo, hi = mm._norm_interval(w[0], w[1], body, E)
+            lo, hi = _norm_interval(w[0], w[1], body, E)
             assert lo <= lam.hi and hi >= lam.lo
         (x1, y1), (x2, y2) = res.witness1, res.witness2
         assert x1 * y2 - x2 * y1 != 0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_integer_gauge_matches_reference(n):
+    body, lat = mm.e3_body(n), mm.exp_lattice(n, 3, 3)
+    for bits in (24, max(192, 8 * n)):
+        E = mm.exp_interval(3, bits)
+        _assert_matches_reference(body, lat, E, (2, 4, 8))
+        # one window alone, and the windows in another order
+        for w in (2, 4, 8):
+            assert mm._enumerate_minima(body, lat, E, w) == [_enumerate_reference(body, lat, E, w)]
+        assert mm._enumerate_minima(body, lat, E, 8, 2) == [
+            _enumerate_reference(body, lat, E, 8), _enumerate_reference(body, lat, E, 2)]
+
+
+_WIDE = mm.RealInterval(Fraction(-1, 2), Fraction(7, 3))
+
+
+@pytest.mark.parametrize("body, lat, E, features", [
+    # E = 0 on Z^2: the gauge is max(|x|, |y|)
+    (mm.Body2(Fraction(1), Fraction(1)), mm.Lattice2(2, 0, 0),
+     mm.RealInterval(Fraction(0), Fraction(0)), {"x=0", "tie"}),
+    # a wide E: x E - y straddles 0 for many points
+    (mm.Body2(Fraction(3, 2), Fraction(5, 7)), mm.Lattice2(3, 2, 4), _WIDE, {"straddle", "tie"}),
+    (mm.Body2(Fraction(3, 2), Fraction(5, 7)), mm.Lattice2(2, 3, 4), _WIDE, {"x=0", "straddle"}),
+    # a negative, narrow E with a large box bound
+    (mm.Body2(Fraction(100), Fraction(1, 9)), mm.Lattice2(5, 1, 3),
+     mm.RealInterval(Fraction(-22, 7), Fraction(-311, 99)), {"straddle"}),
+])
+def test_integer_gauge_edge_cases(body, lat, E, features):
+    pts = _window_points(body, lat, E, 4)
+    gauges = [_norm_interval(x, y, body, E) for x, y in pts]
+    least = min(hi for _, hi in gauges)
+    (x1, y1), *rest = [v for v, (_, hi) in zip(pts, gauges) if hi == least]
+    seen = {
+        "x=0": any(x == 0 for x, _ in pts),
+        "straddle": any(min(x * E.lo - y, x * E.hi - y) < 0 < max(x * E.lo - y, x * E.hi - y)
+                        for x, y in pts),
+        # independent points share the least upper gauge
+        "tie": any(x * y1 - y * x1 != 0 for x, y in rest),
+    }
+    assert any(x < 0 for x, _ in pts)
+    assert {k for k, v in seen.items() if v} >= features
+    _assert_matches_reference(body, lat, E, (1, 2, 4))
+
+
+def _fractions(lo, hi, max_den):
+    return st.builds(Fraction, st.integers(lo, hi), st.integers(1, max_den))
+
+
+@st.composite
+def _minima_inputs(draw):
+    body = mm.Body2(draw(_fractions(1, 10 ** 6, 10 ** 4)), draw(_fractions(1, 10 ** 6, 10 ** 4)))
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(0, 6))
+    lat = mm.Lattice2(p, n, draw(st.integers(0, p ** n - 1)))
+    lo = draw(_fractions(-10 ** 4, 10 ** 4, 2 ** 20))
+    E = mm.RealInterval(lo, lo + draw(_fractions(0, 10 ** 4, 2 ** 20)))
+    return body, lat, E
+
+
+@settings(max_examples=150, deadline=None)
+@given(_minima_inputs(), st.integers(1, 3))
+def test_integer_gauge_matches_reference_random(inputs, window):
+    body, lat, E = inputs
+    try:
+        want = [_enumerate_reference(body, lat, E, w) for w in (window, 2 * window)]
+    except mm.PrecisionExhausted:
+        with pytest.raises(mm.PrecisionExhausted):
+            mm._enumerate_minima(body, lat, E, window, 2 * window)
+        return
+    assert mm._enumerate_minima(body, lat, E, window, 2 * window) == want
+
+
+def test_gauss_reduce_gives_up_with_precision_exhausted():
+    # 128 reduction steps do not settle at n = 52 with 16 n bits of e^3
+    with pytest.raises(mm.PrecisionExhausted, match="basis reduction did not settle"):
+        mm._gauss_reduce(mm.e3_body(52), mm.exp_lattice(52, 3, 3), mm.exp_interval(3, 832).mid)
 
 
 def test_sandwich_small_range():
