@@ -22,8 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import Undecided
 
-class NumericalFailure(RuntimeError):
+
+class NumericalFailure(Undecided):
     """Path tracing failed; the instance should be reported and excluded."""
 
 

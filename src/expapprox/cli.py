@@ -3,11 +3,14 @@
 Every run prints one header line (version, subcommand, echoed config, seed)
 followed by TSV or JSON output.  Exit codes: 0 success, 1 a verification
 subcommand found a violation, 2 usage error (malformed or unsupported input),
-3 undecided (a numerical path failed or the precision ran out).  A
-subcommand that fails prints one ``error:`` line on stderr.  Output is
+3 undecided (an ``errors.Undecided``: a numerical path failed or the
+precision ran out; also a float that left the double range).  A subcommand
+that fails prints one ``error:`` line on stderr.  Output is
 byte-identical for identical config and seed; no timestamps are emitted.
 
 ``main`` may be called repeatedly in one process; it builds its parser once.
+Only ``ascent``, ``semires`` and ``volume`` import numpy (and ``volume``
+scipy), so the exact commands start without them.
 """
 
 from __future__ import annotations
@@ -18,14 +21,17 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
-from . import ascent as asc
 from . import cf as cfmod
 from . import forest as fmod
 from . import hermite as hmod
 from . import minima as mmod
-from . import padic as pmod
+from .errors import Undecided
+
+if TYPE_CHECKING:
+    from . import ascent as asc
 
 
 def _rat(s: str) -> Fraction:
@@ -66,6 +72,18 @@ def _pos_float(s: str) -> float:
         raise argparse.ArgumentTypeError(f"bad number {s!r}")
     if not (math.isfinite(x) and x > 0):
         raise argparse.ArgumentTypeError(f"{s!r} is not positive and finite")
+    return x
+
+
+# records to 10^100000 takes about 1 s and to 10^1000000 about 80 s on a
+# 2-core Xeon VM, as does verify-measure: the cost grows about quadratically
+QMAX_LOG10_MAX = 1e6
+
+
+def _qmax_log10(s: str) -> float:
+    x = _pos_float(s)
+    if x > QMAX_LOG10_MAX:
+        raise argparse.ArgumentTypeError(f"{s!r} is above the ceiling {QMAX_LOG10_MAX:.0f}")
     return x
 
 
@@ -207,11 +225,15 @@ def cmd_forest(args, out) -> int:
 
 
 def _poly_from_args(args) -> asc.ComplexPoly:
+    from . import ascent as asc
+
     mults = args.mults if args.mults else [1] * len(args.roots)
     return asc.ComplexPoly(list(args.roots), list(mults))
 
 
 def cmd_ascent(args, out) -> int:
+    from . import ascent as asc
+
     f = _poly_from_args(args)
     tree = asc.build_ascent_tree(f, seed=args.seed)
     rep = asc.verify_bounds(tree)
@@ -229,6 +251,8 @@ def cmd_ascent(args, out) -> int:
 
 
 def _write_csv(path: str, tree: asc.AscentTree) -> None:
+    from . import ascent as asc
+
     with open(path, "w") as fh:
         fh.write("edge_i,edge_j,t,re,im\n")
         for e in tree.edges:
@@ -238,6 +262,8 @@ def _write_csv(path: str, tree: asc.AscentTree) -> None:
 
 
 def _write_svg(path: str, tree: asc.AscentTree) -> None:
+    from . import ascent as asc
+
     pts = [z for e in tree.edges for z in asc.path_between(tree, e.i, e.j).zs]
     pts += tree.poly.roots
     xs = [z.real for z in pts]
@@ -268,6 +294,8 @@ def _write_svg(path: str, tree: asc.AscentTree) -> None:
 
 
 def cmd_semires(args, out) -> int:
+    from . import ascent as asc
+
     f = _poly_from_args(args)
     lhs, rhs, dev = asc.semiresultant(f)
     flhs, frhs = asc.factorial_bound_sides(f)
@@ -303,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("records", help="running-maximum partial quotients")
     p.add_argument("--alpha", type=_pos_rat, default=Fraction(3))
-    p.add_argument("--qmax-log10", dest="qmax_log10", type=_pos_float, required=True)
+    p.add_argument("--qmax-log10", dest="qmax_log10", type=_qmax_log10, required=True)
 
     p = add("verify-measure", help="irrationality-measure inequality at reduced range")
     p.add_argument("--alpha", type=_pos_rat, default=Fraction(3))
-    p.add_argument("--qmax-log10", dest="qmax_log10", type=_pos_float, default=2000.0)
+    p.add_argument("--qmax-log10", dest="qmax_log10", type=_qmax_log10, default=2000.0)
 
     p = add("minima", help="successive minima sandwich for the e^3 family")
     p.add_argument("--alpha", type=_rat, default=Fraction(3))
@@ -356,8 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (asc.NumericalFailure, mmod.PrecisionExhausted, pmod.PrecisionExhausted) as e:
+    except Undecided as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except OverflowError as e:  # a float path left the double range
+        print(f"error: floating-point overflow ({e})", file=sys.stderr)
         return 3
 
 

@@ -20,18 +20,22 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
+from .errors import Undecided
 from .hermite import check_alphas, mahler_det, rat_str
 from .padic import PAdicContext, delta_exponent, padic_exp, val_rational
 
 
-class PrecisionExhausted(RuntimeError):
-    pass
+class PrecisionExhausted(Undecided):
+    """The minima or the sandwich need more precision than is available."""
+
+
+class WindowChanged(PrecisionExhausted):
+    """The minima of the window differ from those of the doubled window."""
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +302,20 @@ def _enumerate_minima(body: Body2, lat: Lattice2, E: RealInterval, *windows: int
 
 
 def minima2(body: Body2, lat: Lattice2, E: RealInterval,
-            window: int = 32, bits: int = 192, max_retries: int = 3) -> Minima2Result:
+            window: int = 32, bits: int = 192) -> Minima2Result:
     """First and second minima of the body with respect to the lattice.
 
     Reduces the basis under the body gauge, scores the doubled coefficient
     window around it once, in exact integers, and returns interval
     enclosures of the minima with the witness points.  The window's answer
     is read from the inner points and the doubled window's answer is its
-    sufficiency re-check; a changing answer doubles the window again before
-    giving up.
+    sufficiency re-check; a changing answer raises WindowChanged, so the
+    caller can retry with a narrower E.
     """
-    for attempt in range(max_retries):
-        (l1, l2, w1, w2), (l1d, l2d, _, _) = _enumerate_minima(body, lat, E, window, 2 * window)
-        if l1d.hi == l1.hi and l2d.hi == l2.hi:
-            return Minima2Result(l1, l2, w1, w2, bits)
-        window *= 2
-    raise PrecisionExhausted("minima enumeration window kept changing")
+    (l1, l2, w1, w2), (l1d, l2d, _, _) = _enumerate_minima(body, lat, E, window, 2 * window)
+    if l1d.hi != l1.hi or l2d.hi != l2.hi:
+        raise WindowChanged("minima enumeration window answer changed")
+    return Minima2Result(l1, l2, w1, w2, bits)
 
 
 @dataclass
@@ -348,45 +350,47 @@ class SandwichTable:
                    max(r.trend_high for r in self.rows))
 
 
-def minima_sandwich(nmax: int, bits: int = 192) -> SandwichTable:
-    """Exact minima of the e^3 family for n = 1..nmax with the Minkowski check
+def sandwich_row(n: int, bits: int = 192) -> SandwichRow:
+    """Exact minima of the n-th e^3 body with the Minkowski check
 
         2 <= lam1 * lam2 * area(C_n) / covol(L_n) <= 4.
 
-    The product is evaluated as an interval; precision escalates until each
-    row's comparison separates.
+    The product is evaluated as an interval.  The bits of e^3 start at
+    max(bits, 8n) and double until minima2 answers and the comparison
+    separates.
     """
-    rows = []
-    for n in range(1, nmax + 1):
-        b = max(bits, 8 * n)
-        while True:
-            body = e3_body(n)
-            lat = exp_lattice(n, 3, 3)
-            E = exp_interval(Fraction(3), b)
-            res = minima2(body, lat, E, bits=b)
-            mu = body.scaled_area / Fraction(3) ** n  # area/covol, scaling cancels
+    body = e3_body(n)
+    lat = exp_lattice(n, 3, 3)
+    mu = body.scaled_area / Fraction(3) ** n  # area/covol, scaling cancels
+    b = max(bits, 8 * n)
+    while True:
+        try:
+            res = minima2(body, lat, exp_interval(Fraction(3), b), bits=b)
+        except WindowChanged:
+            pass
+        else:
             prod_lo = res.lam1.lo * res.lam2.lo * mu
             prod_hi = res.lam1.hi * res.lam2.hi * mu
-            if prod_lo >= 2 and prod_hi <= 4:
-                ok = True
-            elif prod_hi < 2 or prod_lo > 4:
-                ok = False
-            else:
-                b *= 2
-                if b > 1 << 16:
-                    raise PrecisionExhausted(f"sandwich undecided at n={n}")
-                continue
-            scale = root_pow_interval(3, Fraction(n, 2), 64)
-            lam1 = float(res.lam1.mid * scale.mid)
-            lam2 = float(res.lam2.mid * scale.mid)
-            rows.append(SandwichRow(
-                n=n, lam1=lam1, lam2=lam2,
-                product=float((prod_lo + prod_hi) / 2),
-                trend_low=lam1 * n * n, trend_high=lam2 / (n * n),
-                witness1=res.witness1, witness2=res.witness2, ok=ok,
-                lam1_scaled=res.lam1, lam2_scaled=res.lam2))
-            break
-    return SandwichTable(rows)
+            ok = prod_lo >= 2 and prod_hi <= 4
+            if ok or prod_hi < 2 or prod_lo > 4:
+                break
+        b *= 2
+        if b > 1 << 16:
+            raise PrecisionExhausted(f"sandwich undecided at n={n}")
+    scale = root_pow_interval(3, Fraction(n, 2), 64)
+    lam1 = float(res.lam1.mid * scale.mid)
+    lam2 = float(res.lam2.mid * scale.mid)
+    return SandwichRow(
+        n=n, lam1=lam1, lam2=lam2,
+        product=float((prod_lo + prod_hi) / 2),
+        trend_low=lam1 * n * n, trend_high=lam2 / (n * n),
+        witness1=res.witness1, witness2=res.witness2, ok=ok,
+        lam1_scaled=res.lam1, lam2_scaled=res.lam2)
+
+
+def minima_sandwich(nmax: int, bits: int = 192) -> SandwichTable:
+    """The sandwich rows n = 1..nmax of the e^3 family (see sandwich_row)."""
+    return SandwichTable([sandwich_row(n, bits) for n in range(1, nmax + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +510,8 @@ def archimedean_body(alphas: Sequence, orders: Sequence[int], bits: int = 64) ->
     N = sum(n)
     af = [float(x) for x in a]
     R = max(abs(x - y) for x in af for y in af)
+    if R + math.lgamma(N) >= math.log(sys.float_info.max):
+        raise ValueError(f"box bound e^R (N-1)! for R={R:g}, N={N} exceeds the float range")
     box = math.exp(R) * math.factorial(N - 1)
     forms: dict[tuple[int, int], float] = {}
     evals: dict[tuple[int, int], float] = {}
@@ -556,6 +562,8 @@ def mc_volume(spec: ArchBodySpec, samples: int = 1_000_000, seed: int = 42) -> M
     count, so the result is independent of it.  EXPAPPROX_THREADS asks for
     workers; at most min(MC_CHUNKS, os.cpu_count()) run.
     """
+    import numpy as np  # imported here: only volume needs numpy in this module
+
     s = spec.s
     if s < 2:
         raise ValueError("need s >= 2")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import Undecided
 from .hermite import check_alphas, derivative_sum_poly, poly_eval
 
 
@@ -19,7 +20,7 @@ class DivergenceError(ValueError):
     """Exponential series does not converge at the requested point."""
 
 
-class PrecisionExhausted(RuntimeError):
+class PrecisionExhausted(Undecided):
     """A comparison needs more p-adic precision than is available."""
 
 

@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import expapprox
+from expapprox import ascent as asc
 from expapprox import cli
 from expapprox import minima as mmod
 from expapprox import padic as pmod
 from expapprox.cli import main
+from expapprox.errors import Undecided
 
 
 def run(capsys, *argv):
@@ -179,6 +181,9 @@ def test_bad_bound_and_alpha_rejected(capsys, deadline):
     # each of these ran forever (a nan or inf bound) or printed a header first
     cases = [["records", "--qmax-log10", v] for v in ("nan", "inf", "-inf", "0", "-5", "x")]
     cases += [["verify-measure", "--qmax-log10", v] for v in ("nan", "inf", "0")]
+    # above the ceiling: 1e300 ran forever
+    cases += [[cmd, "--qmax-log10", v] for cmd in ("records", "verify-measure")
+              for v in ("1e300", "1000001")]
     for alpha in ("0", "-1/2"):
         cases += [["cf", "--alpha", alpha, "--count", "3"],
                   ["records", "--alpha", alpha, "--qmax-log10", "5"],
@@ -187,9 +192,28 @@ def test_bad_bound_and_alpha_rejected(capsys, deadline):
         with deadline(10):
             assert main(argv) == 2, argv
         assert capsys.readouterr().out == "", argv
+    # the ceiling itself and the benchmark's bounds parse
+    for v in ("1e6", "40000", "2000"):
+        assert cli._parser().parse_args(["records", "--qmax-log10", v]).qmax_log10 == float(v)
+
+
+def test_float_overflow_has_no_traceback(capsys, deadline):
+    # the box bound e^R (N-1)! is known from the input: a usage error
+    with deadline(10):
+        assert main(["volume", "--alphas", "0,1", "--n", "100,100", "--samples", "1000"]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err.startswith("error: box bound") and cap.err.count("\n") == 1
+    # the path tracer's float range is not: undecided
+    with deadline(10):
+        assert main(["ascent", "--roots", "0,1e300"]) == 3
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "error: floating-point overflow (complex exponentiation)\n"
 
 
 def test_numerical_failure_is_exit_3(deadline):
+    assert issubclass(asc.NumericalFailure, Undecided)
     # run as a program, so an escaping exception would show as a traceback
     env = {**os.environ, "PYTHONPATH": str(Path(expapprox.__file__).parents[1])}
     with deadline(60):
@@ -204,6 +228,7 @@ def test_numerical_failure_is_exit_3(deadline):
 
 @pytest.mark.parametrize("exc", [mmod.PrecisionExhausted, pmod.PrecisionExhausted])
 def test_precision_exhausted_is_exit_3(monkeypatch, capsys, deadline, exc):
+    assert issubclass(exc, Undecided)
     def give_up(nmax):
         raise exc("sandwich undecided")
 
@@ -269,33 +294,42 @@ def test_bad_thread_count(monkeypatch, capsys, deadline):
         assert cap.err == f"error: EXPAPPROX_THREADS must be an integer, got {value!r}\n"
 
 
-SCIPY_FREE = [
+NUMPY_FREE = [
     ["minima", "--nmax", "2"], ["cf", "--count", "5"], ["records", "--qmax-log10", "20"],
     ["verify-measure", "--qmax-log10", "50"], ["hermite", "--alphas", "0,3", "--n", "1,1"],
     ["mahler", "--alphas", "0,3", "--n", "1,1"], ["forest", "--points", "0,3,6", "--p", "3"],
 ]
+# each command with the heavy modules it alone loads
+NUMPY_LOADERS = [
+    (["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "100"], {"numpy", "scipy"}),
+    (["ascent", "--roots", "0,1"], {"numpy"}),
+    (["semires", "--roots", "0,1"], {"numpy"}),
+]
 
 
 def test_scipy_loaded_only_by_volume(deadline):
-    # a fresh interpreter: this process may have loaded scipy already
-    script = f"""
+    # fresh interpreters: this process may have loaded numpy and scipy already
+    env = {**os.environ, "PYTHONPATH": str(Path(expapprox.__file__).parents[1])}
+    for loader, loaded in NUMPY_LOADERS:
+        script = f"""
 import contextlib, io, sys
 import expapprox.cli
+def heavy():
+    return {{m for m in ("numpy", "scipy") if m in sys.modules}}
 expapprox.cli.build_parser()
-assert "scipy" not in sys.modules, "import"
-for argv in {SCIPY_FREE!r}:
+assert not heavy(), "import"
+for argv in {NUMPY_FREE!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert expapprox.cli.main(argv) == 0, argv
-    assert "scipy" not in sys.modules, argv
+    assert not heavy(), (argv, heavy())
 with contextlib.redirect_stdout(io.StringIO()):
-    expapprox.cli.main(["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "100"])
-assert "scipy" in sys.modules, "volume"
+    assert expapprox.cli.main({loader!r}) == 0
+assert heavy() == {loaded!r}, heavy()
 """
-    env = {**os.environ, "PYTHONPATH": str(Path(expapprox.__file__).parents[1])}
-    with deadline(60):
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env)
-    assert proc.returncode == 0, proc.stderr
+        with deadline(60):
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env)
+        assert proc.returncode == 0, (loader, proc.stderr)
 
 
 def test_basis_reduction_failure_is_exit_3(monkeypatch, capsys, deadline):

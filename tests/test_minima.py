@@ -215,6 +215,24 @@ def test_gauss_reduce_gives_up_with_precision_exhausted():
         mm._gauss_reduce(mm.e3_body(52), mm.exp_lattice(52, 3, 3), mm.exp_interval(3, 832).mid)
 
 
+@pytest.mark.parametrize("n", [35, 50])
+def test_sandwich_rows_past_34_escalate_bits(n, deadline):
+    # at the starting 8 n bits the window answer changes; doubled bits settle it
+    body, lat = mm.e3_body(n), mm.exp_lattice(n, 3, 3)
+    with pytest.raises(mm.WindowChanged):
+        mm.minima2(body, lat, mm.exp_interval(3, 8 * n))
+    with deadline(5):
+        row = mm.sandwich_row(n)
+    assert row.ok and 2.0 <= row.product <= 4.0
+    assert lat.contains(*row.witness1) and lat.contains(*row.witness2)
+
+
+def test_sandwich_row_does_not_escalate_reduction_failure(deadline):
+    # more bits of e^3 do not help the reduction at n = 52: it fails at once
+    with deadline(5), pytest.raises(mm.PrecisionExhausted, match="basis reduction did not settle"):
+        mm.sandwich_row(52)
+
+
 def test_sandwich_small_range():
     table = mm.minima_sandwich(6)
     assert table.ok
