@@ -42,6 +42,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
+from .interval import exp_interval
+
 Mat2 = tuple[int, int, int, int]  # rows (t, u), (t', u')
 
 IDENT: Mat2 = (1, 0, 0, 1)
@@ -301,8 +303,6 @@ def verify_measure(alpha=Fraction(3), qmax_log: float | None = None,
     Together with Lagrange's convergent bound these give
     |x| |x e^alpha - y| >= 1/psi(|x|) on 4 <= |x| <= exp(qmax_log).
     """
-    from .minima import exp_interval  # local import to avoid a cycle
-
     alpha = Fraction(alpha)
     if qmax_log is None:
         qmax_log = qmax_log10 * math.log(10.0)

@@ -9,8 +9,11 @@ that fails prints one ``error:`` line on stderr.  Output is
 byte-identical for identical config and seed; no timestamps are emitted.
 
 ``main`` may be called repeatedly in one process; it builds its parser once.
-Only ``ascent``, ``semires`` and ``volume`` import numpy (and ``volume``
-scipy), so the exact commands start without them.
+Each command imports only its own layer, on its first call: ``cf``,
+``records`` and ``verify-measure`` load ``cf`` and ``interval``; ``hermite``
+and ``mahler`` load ``hermite``; ``forest`` and ``minima`` load their module
+with what it builds on.  Only ``ascent``, ``semires`` and ``volume`` import
+numpy (and ``volume`` scipy), so the exact commands start without them.
 """
 
 from __future__ import annotations
@@ -21,17 +24,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from . import __version__
-from . import cf as cfmod
-from . import forest as fmod
-from . import hermite as hmod
-from . import minima as mmod
 from .errors import Undecided
-
-if TYPE_CHECKING:
-    from . import ascent as asc
 
 
 def _rat(s: str) -> Fraction:
@@ -95,16 +90,25 @@ def _int_list(s: str) -> list[int]:
     return [int(x) for x in s.split(",") if x]
 
 
+def _order_list(s: str) -> list[int]:
+    n = _int_list(s)
+    if any(k < 0 for k in n):
+        raise argparse.ArgumentTypeError(f"{s!r} has a negative order")
+    return n
+
+
 def _complex_list(s: str) -> list[complex]:
     try:
-        return [complex(x) for x in s.split(",") if x]
+        zs = [complex(x) for x in s.split(",") if x]
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad complex list {s!r}: {e}")
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
+        raise argparse.ArgumentTypeError(f"{s!r} has a non-finite entry")
+    return zs
 
 
 def _fmt_val(v) -> str:
-    if isinstance(v, Fraction):
-        return hmod.rat_str(v)
+    # str of a Fraction is "num/den", or "num" when it is whole
     if isinstance(v, (list, tuple)):
         return ",".join(_fmt_val(x) for x in v)
     return str(v)
@@ -119,6 +123,8 @@ def _header(args: argparse.Namespace, **extra) -> str:
 
 
 def cmd_hermite(args, out) -> int:
+    from . import hermite as hmod
+
     data = hmod.point_json(args.alphas, args.n)
     print(_header(args), file=out)
     if args.format == "json":
@@ -129,6 +135,8 @@ def cmd_hermite(args, out) -> int:
 
 
 def cmd_mahler(args, out) -> int:
+    from . import hermite as hmod
+
     data = hmod.matrix_json(args.alphas, args.n)
     closed = hmod.mahler_det(args.alphas, args.n)
     data["closed_form"] = hmod.rat_str(closed)
@@ -138,6 +146,8 @@ def cmd_mahler(args, out) -> int:
 
 
 def cmd_cf(args, out) -> int:
+    from . import cf as cfmod
+
     print(_header(args), file=out)
     # row n prints ln q_n, which the stream carries with the quotient after it
     items = list(cfmod.stream_cf(args.alpha, count=args.count + 1))
@@ -150,6 +160,8 @@ def cmd_cf(args, out) -> int:
 
 
 def cmd_records(args, out) -> int:
+    from . import cf as cfmod
+
     qmax_log = args.qmax_log10 * math.log(10.0)
     rows = cfmod.record_scan(args.alpha, qmax_log)
     print(_header(args), file=out)
@@ -163,6 +175,8 @@ def cmd_records(args, out) -> int:
 
 
 def cmd_verify_measure(args, out) -> int:
+    from . import cf as cfmod
+
     rep = cfmod.verify_measure(alpha=args.alpha, qmax_log10=args.qmax_log10)
     print(_header(args), file=out)
     print(f"checked {rep.checked} quotient indices, min ratio (n>=10) "
@@ -178,6 +192,8 @@ def cmd_verify_measure(args, out) -> int:
 
 
 def cmd_minima(args, out) -> int:
+    from . import minima as mmod
+
     if args.alpha != Fraction(3) or args.p != 3:
         raise ValueError("only the alpha=3, p=3 family is implemented")
     table = mmod.minima_sandwich(args.nmax)
@@ -199,6 +215,8 @@ def cmd_minima(args, out) -> int:
 
 
 def cmd_volume(args, out) -> int:
+    from . import minima as mmod
+
     spec = mmod.archimedean_body(args.alphas, args.n)
     est = mmod.mc_volume(spec, samples=args.samples, seed=args.seed)
     lo, hi = mmod.volume_sandwich(args.alphas, args.n)
@@ -213,6 +231,8 @@ def cmd_volume(args, out) -> int:
 
 
 def cmd_forest(args, out) -> int:
+    from . import forest as fmod
+
     oracle = fmod.PAdicDistance(args.p)
     delta_exp = args.delta_exp if args.delta_exp is not None else Fraction(1, args.p - 1)
     forest = fmod.build_forest(args.points, delta_exp, oracle)
@@ -224,7 +244,7 @@ def cmd_forest(args, out) -> int:
     return 0 if ok else 1
 
 
-def _poly_from_args(args) -> asc.ComplexPoly:
+def _poly_from_args(args):
     from . import ascent as asc
 
     mults = args.mults if args.mults else [1] * len(args.roots)
@@ -250,7 +270,7 @@ def cmd_ascent(args, out) -> int:
     return 0 if rep.ok else 1
 
 
-def _write_csv(path: str, tree: asc.AscentTree) -> None:
+def _write_csv(path: str, tree) -> None:
     from . import ascent as asc
 
     with open(path, "w") as fh:
@@ -261,7 +281,7 @@ def _write_csv(path: str, tree: asc.AscentTree) -> None:
                 fh.write(f"{e.i},{e.j},{t:.8g},{z.real:.12g},{z.imag:.12g}\n")
 
 
-def _write_svg(path: str, tree: asc.AscentTree) -> None:
+def _write_svg(path: str, tree) -> None:
     from . import ascent as asc
 
     pts = [z for e in tree.edges for z in asc.path_between(tree, e.i, e.j).zs]
@@ -319,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("hermite", help="approximation point at a multi-index")
     p.add_argument("--alphas", type=_rat_list, required=True)
-    p.add_argument("--n", type=_int_list, required=True)
+    p.add_argument("--n", type=_order_list, required=True)
 
     p = add("mahler", help="neighbouring-point matrix vs closed-form determinant")
     p.add_argument("--alphas", type=_rat_list, required=True)

@@ -281,10 +281,6 @@ def rat_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def point_json(alphas, orders) -> dict:
     a, n = _check_pair(alphas, orders)
     pt = hermite_point(a, n)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from expapprox import cf
+from expapprox.interval import exp_interval
 
 E3_PREFIX = [20, 11, 1, 2, 4, 3, 1, 5, 1, 2, 16]
 
@@ -95,7 +96,6 @@ def _cf_of_interval(lo: Fraction, hi: Fraction, count: int) -> list[int]:
 def test_stream_against_interval_oracle(alpha, count, monkeypatch):
     # count None: every quotient a 6000-bit interval certifies (about 900 to
     # 1800), through multi-factor batches, with the windowed peel off and on
-    from expapprox.minima import exp_interval
     iv = exp_interval(alpha, bits=220 if count else 6000)
     oracle = _cf_of_interval(iv.lo, iv.hi, count or 10**6)
     assert len(oracle) >= (count or 900)

@@ -58,6 +58,10 @@ def test_hermite_and_mahler(capsys):
                          "--format", "json")
     assert code == 0
     assert json.loads(lines[0])["point"] == ["-1", "5"]
+    # order 0 is valid: P_0 = 1
+    code, header, lines = run(capsys, "hermite", "--alphas", "0,3", "--n", "0,0")
+    assert code == 0 and lines == ["1\t1"]
+    assert header == ["# expapprox 0.1.0 hermite alphas=0,3 n=0,0"]
 
     code, _, lines = run(capsys, "mahler", "--alphas", "0,3", "--n", "2,2")
     assert code == 0
@@ -244,6 +248,8 @@ def test_malformed_counts_rejected(capsys, deadline):
     cases = [["minima", "--nmax", v] for v in ("0", "-1", "2.5")]
     cases += [["volume", "--alphas", "0,3", "--n", "1,1", "--samples", v]
               for v in ("0", "-5", "1.5", "nan", "inf", "x")]
+    # "--n=" keeps argparse from reading "-3,0" as an option
+    cases += [["hermite", "--alphas", "0,1", f"--n={v}"] for v in ("-1,0", "2,-1", "-3,0")]
     for argv in cases:
         with deadline(10):
             assert main(argv) == 2, argv
@@ -294,42 +300,79 @@ def test_bad_thread_count(monkeypatch, capsys, deadline):
         assert cap.err == f"error: EXPAPPROX_THREADS must be an integer, got {value!r}\n"
 
 
-NUMPY_FREE = [
-    ["minima", "--nmax", "2"], ["cf", "--count", "5"], ["records", "--qmax-log10", "20"],
-    ["verify-measure", "--qmax-log10", "50"], ["hermite", "--alphas", "0,3", "--n", "1,1"],
-    ["mahler", "--alphas", "0,3", "--n", "1,1"], ["forest", "--points", "0,3,6", "--p", "3"],
+MINIMA_SET = {"minima", "interval", "hermite", "padic"}
+# each command with the layer modules (and numpy, scipy) it alone loads
+COMMAND_LOADS = [
+    (["cf", "--count", "5"], {"cf", "interval"}),
+    (["records", "--qmax-log10", "20"], {"cf", "interval"}),
+    (["verify-measure", "--qmax-log10", "50"], {"cf", "interval"}),
+    (["hermite", "--alphas", "0,3", "--n", "1,1"], {"hermite"}),
+    (["mahler", "--alphas", "0,3", "--n", "1,1"], {"hermite"}),
+    (["forest", "--points", "0,3,6", "--p", "3"], {"forest", "hermite", "padic"}),
+    (["minima", "--nmax", "2"], MINIMA_SET),
+    (["ascent", "--roots", "0,1"], {"ascent", "numpy"}),
+    (["semires", "--roots", "0,1"], {"ascent", "numpy"}),
+    (["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "100"],
+     MINIMA_SET | {"numpy", "scipy"}),
 ]
-# each command with the heavy modules it alone loads
-NUMPY_LOADERS = [
-    (["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "100"], {"numpy", "scipy"}),
-    (["ascent", "--roots", "0,1"], {"numpy"}),
-    (["semires", "--roots", "0,1"], {"numpy"}),
+USAGE_ERRORS = [
+    ["cf", "--count", "0"], ["records", "--qmax-log10", "nan"], ["minima", "--nmax", "-1"],
+    ["hermite", "--alphas", "1", "--n", "-1"], ["mahler", "--alphas", "x", "--n", "1"],
+    ["forest", "--p", "3"], ["ascent", "--roots", "inf"], ["semires", "--roots", "0,x"],
+    ["volume", "--alphas", "0,3", "--n", "1,1", "--samples", "0"], ["nosuchcommand"],
 ]
-
-
-def test_scipy_loaded_only_by_volume(deadline):
-    # fresh interpreters: this process may have loaded numpy and scipy already
-    env = {**os.environ, "PYTHONPATH": str(Path(expapprox.__file__).parents[1])}
-    for loader, loaded in NUMPY_LOADERS:
-        script = f"""
+_LOADED = """
 import contextlib, io, sys
 import expapprox.cli
-def heavy():
-    return {{m for m in ("numpy", "scipy") if m in sys.modules}}
-expapprox.cli.build_parser()
-assert not heavy(), "import"
-for argv in {NUMPY_FREE!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert expapprox.cli.main(argv) == 0, argv
-    assert not heavy(), (argv, heavy())
-with contextlib.redirect_stdout(io.StringIO()):
-    assert expapprox.cli.main({loader!r}) == 0
-assert heavy() == {loaded!r}, heavy()
+LAYERS = ("cf", "minima", "hermite", "padic", "forest", "ascent", "interval")
+def loaded():
+    return sorted({m for m in LAYERS if "expapprox." + m in sys.modules}
+                  | {m for m in ("numpy", "scipy") if m in sys.modules})
 """
-        with deadline(60):
-            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                  text=True, env=env)
-        assert proc.returncode == 0, (loader, proc.stderr)
+
+
+def _fresh(script: str, deadline) -> str:
+    # a fresh interpreter: this process has loaded every layer already
+    env = {**os.environ, "PYTHONPATH": str(Path(expapprox.__file__).parents[1])}
+    with deadline(60):
+        proc = subprocess.run([sys.executable, "-c", _LOADED + script], capture_output=True,
+                              text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_each_command_loads_only_its_layer(deadline):
+    # the parser and any usage error load no layer module, numpy or scipy
+    out = _fresh(f"""
+expapprox.cli.build_parser()
+print(loaded())
+for argv in {USAGE_ERRORS!r}:
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert expapprox.cli.main(argv) == 2, argv
+print(loaded())
+""", deadline)
+    assert out == "[]\n[]\n"
+    for argv, loads in COMMAND_LOADS:
+        out = _fresh(f"""
+with contextlib.redirect_stdout(io.StringIO()):
+    assert expapprox.cli.main({argv!r}) == 0
+print(loaded())
+""", deadline)
+        assert out == f"{sorted(loads)}\n", argv
+
+
+def test_non_finite_roots_rejected(deadline):
+    env = {**os.environ, "PYTHONPATH": str(Path(expapprox.__file__).parents[1])}
+    for cmd in ("ascent", "semires"):
+        for root in ("inf", "-inf", "nan", "1+infj"):
+            with deadline(60):
+                proc = subprocess.run([sys.executable, "-m", "expapprox.cli", cmd,
+                                       f"--roots={root},1"], capture_output=True,
+                                      text=True, env=env)
+            assert proc.returncode == 2, (cmd, root)
+            assert proc.stdout == ""
+            assert "non-finite entry" in proc.stderr.splitlines()[-1]
+            assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_basis_reduction_failure_is_exit_3(monkeypatch, capsys, deadline):

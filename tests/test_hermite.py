@@ -116,7 +116,6 @@ def test_diagonal_product_formula(alpha, n):
 def test_rat_str_normalization():
     assert h.rat_str(Fraction(-4)) == "-4"
     assert h.rat_str(Fraction(3, 7)) == "3/7"
-    assert h.parse_rat("-4") == Fraction(-4)
 
 
 def test_json_shapes():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expapprox import interval
 from expapprox import minima as mm
 
 
@@ -89,8 +90,8 @@ def test_exp_interval_consistency_with_series():
 def test_root_pow_interval():
     iv = mm.root_pow_interval(3, Fraction(1, 2), 40)
     assert iv.lo ** 2 <= 3 <= iv.hi ** 2
-    assert mm.nth_root_int(3 ** 10, 2) == 3 ** 5
-    assert mm.nth_root_int(2 ** 30 + 5, 3) == 2 ** 10
+    assert interval.nth_root_int(3 ** 10, 2) == 3 ** 5
+    assert interval.nth_root_int(2 ** 30 + 5, 3) == 2 ** 10
 
 
 def test_lattice_family():
