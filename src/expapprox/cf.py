@@ -52,7 +52,7 @@ MAX_BATCH = 64          # cascade factors multiplied per step, at most
 WINDOW_BITS = 62        # leading bits read by the windowed peel
 # Entries no wider than this are peeled exactly; it must exceed WINDOW_BITS.
 # The window is already faster at 512 bits; 4096 keeps a perfbench cf_long
-# pass above the floor its fixed pass count sets (ROADMAP item 6).
+# pass above the floor its fixed pass count sets (ROADMAP item 1).
 WINDOW_GATE_BITS = 4096
 
 

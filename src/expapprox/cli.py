@@ -22,6 +22,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -105,6 +106,21 @@ def _complex_list(s: str) -> list[complex]:
     if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in zs):
         raise argparse.ArgumentTypeError(f"{s!r} has a non-finite entry")
     return zs
+
+
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Glue each option to a following value that starts with a minus and a digit.
+
+    argparse alone reads such a value (-1,2 or -1/3) as an option;
+    --alphas -1,2 becomes --alphas=-1,2, which it reads as the value.
+    """
+    out: list[str] = []
+    for a in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", a):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
 
 
 def _fmt_val(v) -> str:
@@ -394,7 +410,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     # resolved per call, so a replaced cmd_* (a test's, a tracer's) is the one run

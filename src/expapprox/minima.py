@@ -5,10 +5,12 @@ The central family (for e^3): bodies
     C_n = {(x,y): |x| <= (2n)!/(n! 3^{n/2}),  |x e^3 - y| <= (3/2)^{2n}/(n! 3^{n/2})}
 
 against the lattices  L_n = {(x,y) in Z^2 : x e^3 = y mod 3^n}.  All minima
-comparisons run in exact rational interval arithmetic (the window gauges as
-integers over one common denominator); e^3 enters only as an interval that
-is refined until every comparison separates.  Internally the bodies are
-rescaled by 3^{n/2} so that all bounds are rational.
+comparisons are exact: the basis reduction and the window gauges are
+integers over one common denominator, and the window scores only the half
+of its points before (0, 0), along arithmetic progressions, as the gauge is
+centrally symmetric.  e^3 enters only as an interval that is refined until
+every comparison separates.  Internally the bodies are rescaled by 3^{n/2}
+so that all bounds are rational.
 
 The interval type and the interval exponential live in ``interval``.  Also
 here: the rescaled adelic body of the diagonal case, Archimedean body specs
@@ -115,31 +117,35 @@ class Minima2Result:
     bits: int
 
 
-def _norm_mid(x: int, y: int, body: Body2, m: Fraction) -> Fraction:
-    return max(abs(Fraction(x)) / body.scaled_x, abs(x * m - y) / body.scaled_form)
-
-
 def _gauss_reduce(body: Body2, lat: Lattice2, m: Fraction):
+    """Gauss-reduced basis of the lattice under the body gauge at E = m.
+
+    With X = Xn/Xd, Y = Yn/Yd and m = mn/md, the gauge times Xn md Yn is the
+    integer max(|x| Xd md Yn, |x mn - y md| Yd Xn), and the shift candidates
+    are integer floor and ceiling quotients, so every step compares integers.
+    """
+    X, Y = body.scaled_x, body.scaled_form
+    mn, md = m.numerator, m.denominator
+    cx, cy = X.denominator * md * Y.numerator, Y.denominator * X.numerator
+
+    def gauge(v):
+        return max(abs(v[0]) * cx, abs(v[0] * mn - v[1] * md) * cy)
+
     a, b = lat.basis
     for _ in range(128):
-        if _norm_mid(*a, body, m) > _norm_mid(*b, body, m):
+        if gauge(a) > gauge(b):
             a, b = b, a
         # integer shifts minimizing either defining form of b - q a
         cands = {0}
-        if a[0] != 0:
-            q = Fraction(b[0], a[0])
-            cands.update((math.floor(q), math.ceil(q)))
-        da = a[0] * m - a[1]
-        if da != 0:
-            q = (b[0] * m - b[1]) / da
-            cands.update((math.floor(q), math.ceil(q)))
-        best_q, best_n = 0, _norm_mid(*b, body, m)
+        for num, den in ((b[0], a[0]), (b[0] * mn - b[1] * md, a[0] * mn - a[1] * md)):
+            if den:
+                cands.update((num // den, -(-num // den)))
+        best_q, best_n = 0, gauge(b)
         for q0 in cands:
             for q in (q0 - 1, q0, q0 + 1):
                 if q == 0:
                     continue
-                v = (b[0] - q * a[0], b[1] - q * a[1])
-                nv = _norm_mid(*v, body, m)
+                nv = gauge((b[0] - q * a[0], b[1] - q * a[1]))
                 if nv < best_n:
                     best_q, best_n = q, nv
         if best_q == 0:
@@ -174,30 +180,34 @@ def _enumerate_minima(body: Body2, lat: Lattice2, E: RealInterval, *windows: int
     Y = Yn/Yd and D the common denominator of E.lo and E.hi:
 
         |x|/X -> |x| Xd D Yn,    |x E - y|/Y -> |x e - y D| Yd Xn  (e = E D).
+
+    The gauge is centrally symmetric and in loop order each point before
+    (0, 0) comes before its mirror, so only that half is scored: it holds the
+    first least gauges and least lower ends of every window.  Along pb, x, y
+    and the scaled ends of x e - y D are progressions: each point is additions.
     """
-    a, b = _gauss_reduce(body, lat, E.mid)
+    (a0, a1), (b0, b1) = _gauss_reduce(body, lat, E.mid)
     X, Y = body.scaled_x, body.scaled_form
     d = math.lcm(E.lo.denominator, E.hi.denominator)
     e_lo = E.lo.numerator * (d // E.lo.denominator)
     e_hi = E.hi.numerator * (d // E.hi.denominator)
-    cx = X.denominator * d * Y.numerator
-    cy = Y.denominator * X.numerator
+    cx, cy = X.denominator * d * Y.numerator, Y.denominator * X.numerator
+    # steps along pb of x Xd D Yn and of (x e - y D) Yd Xn at both ends of E
+    sx, s_lo, s_hi = b0 * cx, (b0 * e_lo - b1 * d) * cy, (b0 * e_hi - b1 * d) * cy
     w = max(windows)
-    pts = []  # (hi, lo, x, y, max(|pa|, |pb|)) in loop order
-    for pa in range(-w, w + 1):
-        for pb in range(-w, w + 1):
-            if pa == 0 and pb == 0:
-                continue
-            x, y = pa * a[0] + pb * b[0], pa * a[1] + pb * b[1]
-            yd = y * d
-            # x E - y as an integer interval over D
-            lo, hi = (x * e_lo - yd, x * e_hi - yd) if x >= 0 else (x * e_hi - yd, x * e_lo - yd)
+    pts = []  # (hi, lo, x, y, max(|pa|, |pb|)) in loop order, pa < 0 or pa = 0 > pb
+    for pa in range(-w, 1):
+        x, y = pa * a0 - w * b0, pa * a1 - w * b1
+        gx, t_lo, t_hi = x * cx, (x * e_lo - y * d) * cy, (x * e_hi - y * d) * cy
+        for pb in range(-w, w + 1 if pa else 0):
+            lo, hi = (t_lo, t_hi) if x >= 0 else (t_hi, t_lo)
             if hi <= 0:
                 lo, hi = -hi, -lo
             elif lo < 0:
                 lo, hi = 0, max(-lo, hi)
-            gx = abs(x) * cx
-            pts.append((max(gx, hi * cy), max(gx, lo * cy), x, y, max(abs(pa), abs(pb))))
+            g = abs(gx)
+            pts.append((max(g, hi), max(g, lo), x, y, max(-pa, abs(pb))))
+            x, y, gx, t_lo, t_hi = x + b0, y + b1, gx + sx, t_lo + s_lo, t_hi + s_hi
     den = X.numerator * d * Y.numerator
     return [_select_minima(den, pts if v == w else [t for t in pts if t[4] <= v])
             for v in windows]

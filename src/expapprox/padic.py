@@ -186,13 +186,6 @@ class PAdicApprox:
         return {"p": self.p, "k": self.k, "residue": str(self.residue)}
 
 
-def exp_converges(p: int, alpha) -> bool:
-    v = val_rational(p, alpha)
-    if v == float("inf"):
-        return True
-    return delta_compare(p, Fraction(v)) < 0
-
-
 def padic_exp(ctx: PAdicContext, alpha) -> PAdicApprox:
     """Residue of sum alpha^m / m! modulo p^k.
 

@@ -1,5 +1,7 @@
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import expapprox
 from expapprox import ascent as asc
@@ -92,6 +96,17 @@ def test_minima_small(capsys):
 def test_minima_stdout_pinned(capsys, argv, digest):
     # sha256 of the whole stdout, recorded with the Fraction-gauge enumeration
     assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("tsv", "a60f9fcb7c6867982e238614335fb43da12be3ebc441103dd3a0b11453211b1d"),
+    ("json", "af83222bff34f9709e2c25db60a6179021f96f4049d8cf2b7555e2fcc43e2836"),
+])
+def test_minima_escalated_rows_pinned(capsys, deadline, fmt, digest):
+    # rows 35-51 settle only at doubled bits of e^3; recorded with the Fraction-gauge reduction
+    with deadline(60):
+        assert main(["minima", "--nmax", "51", "--format", fmt]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -248,13 +263,96 @@ def test_malformed_counts_rejected(capsys, deadline):
     cases = [["minima", "--nmax", v] for v in ("0", "-1", "2.5")]
     cases += [["volume", "--alphas", "0,3", "--n", "1,1", "--samples", v]
               for v in ("0", "-5", "1.5", "nan", "inf", "x")]
-    # "--n=" keeps argparse from reading "-3,0" as an option
-    cases += [["hermite", "--alphas", "0,1", f"--n={v}"] for v in ("-1,0", "2,-1", "-3,0")]
+    # a negative order, in both spellings
+    cases += [["hermite", "--alphas", "0,1", *n] for v in ("-1,0", "2,-1", "-3,0")
+              for n in ([f"--n={v}"], ["--n", v])]
     for argv in cases:
         with deadline(10):
             assert main(argv) == 2, argv
         cap = capsys.readouterr()
         assert cap.out == "" and "Traceback" not in cap.err, argv
+
+
+@pytest.mark.parametrize("plain, glued", [
+    ("hermite --alphas -1,2 --n 1,1", "hermite --alphas=-1,2 --n 1,1"),
+    ("mahler --alphas -1,2 --n 1,1", "mahler --alphas=-1,2 --n 1,1"),
+    ("ascent --roots -1,1", "ascent --roots=-1,1"),
+    ("forest --points -1,3 --p 3", "forest --points=-1,3 --p 3"),
+    ("forest --points 0,3 --p 3 --delta-exp -1/3", "forest --points 0,3 --p 3 --delta-exp=-1/3"),
+], ids=["hermite", "mahler", "ascent", "forest", "forest-delta-exp"])
+def test_negative_value_plain_spelling(capsys, plain, glued):
+    # argparse alone reads "-1,2" as an option; it must mean the same as "--alphas=-1,2"
+    assert main(glued.split()) == 0
+    want = capsys.readouterr().out
+    assert main(plain.split()) == 0
+    assert capsys.readouterr().out == want
+
+
+def _some(good, bad):
+    """Mostly a value from good, one time in five from bad."""
+    return st.integers(0, 4).flatmap(lambda k: st.sampled_from(bad if k == 0 else good))
+
+
+def _csv(good, bad, max_size=3):
+    return st.one_of(st.lists(st.sampled_from(good), min_size=1, max_size=max_size, unique=True),
+                     st.lists(_some(good, bad), max_size=max_size)).map(",".join)
+
+
+_RAT, _BAD_RAT = ["0", "1", "-1", "3", "1/2", "-2/3", "5/7"], ["x", "1/0", ""]
+_INT, _BAD_INT = ["1", "2", "3"], ["-1", "0", "2.5", "x"]
+_COMPLEX, _BAD_COMPLEX = ["0", "1", "-1", "1j", "-1j", "2+1j"], ["nan", "x"]
+# each command's options: (required, small values)
+_OPTIONS = {
+    "hermite": {"--alphas": (True, _csv(_RAT, _BAD_RAT)),
+                "--n": (True, _csv(_INT + ["0"], _BAD_INT))},
+    "mahler": {"--alphas": (True, _csv(_RAT, _BAD_RAT)), "--n": (True, _csv(_INT, _BAD_INT))},
+    "cf": {"--alpha": (False, _some(_RAT, _BAD_RAT)),
+           "--count": (True, _some(_INT + ["30"], _BAD_INT))},
+    "records": {"--alpha": (False, _some(_RAT, _BAD_RAT)),
+                "--qmax-log10": (True, _some(["5", "20", "100"], ["-1", "0", "nan"]))},
+    "verify-measure": {"--alpha": (False, _some(_RAT, _BAD_RAT)),
+                       "--qmax-log10": (True, _some(["5", "50"], ["0", "inf"]))},
+    "minima": {"--alpha": (False, _some(["3"], _RAT)), "--p": (False, _some(["3"], _INT)),
+               "--nmax": (False, _some(_INT, _BAD_INT))},
+    # volume's default 10^6 samples is not a small run
+    "volume": {"--alphas": (True, _csv(_RAT, _BAD_RAT)), "--n": (True, _csv(_INT, _BAD_INT)),
+               "--samples": (True, _some(["100", "1e3"], ["0", "x"])),
+               "--seed": (False, _some(_INT, ["x"]))},
+    "forest": {"--points": (True, _csv(_RAT, _BAD_RAT, 4)),
+               "--p": (True, _some(["2", "3", "5"], _BAD_INT)),
+               "--delta-exp": (False, _some(_RAT, _BAD_RAT))},
+    "ascent": {"--roots": (True, _csv(_COMPLEX, _BAD_COMPLEX)),
+               "--mults": (False, _csv(_INT, _BAD_INT)), "--seed": (False, _some(_INT, ["x"]))},
+    "semires": {"--roots": (True, _csv(_COMPLEX, _BAD_COMPLEX)),
+                "--mults": (False, _csv(_INT, _BAD_INT))},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for flag, (required, values) in _OPTIONS[command].items():
+        if draw(st.integers(0, 9)) < (9 if required else 4):
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(_some(["tsv", "json"], ["xml"]))]
+    if draw(st.integers(0, 9)) == 0:  # a stray token anywhere
+        stray = draw(st.sampled_from(["--bogus", "-1,2", "x"]))
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argv())
+def test_cli_fuzz_exit_codes(deadline, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with deadline(30):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 VOLUME = ["volume", "--alphas", "0,1,3", "--n", "1,1,1", "--samples", "2e5", "--seed", "42"]

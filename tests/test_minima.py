@@ -1,5 +1,7 @@
+import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,26 +28,71 @@ def _norm_interval(x, y, body, E):
     return max(b1, a_lo / body.scaled_form), max(b1, a_hi / body.scaled_form)
 
 
+def _norm_mid(x, y, body, m):
+    return max(abs(Fraction(x)) / body.scaled_x, abs(x * m - y) / body.scaled_form)
+
+
+def _gauss_reduce_reference(body, lat, m):
+    """The basis reduction with Fraction gauges at E = m and Fraction quotients."""
+    a, b = lat.basis
+    for _ in range(128):
+        if _norm_mid(*a, body, m) > _norm_mid(*b, body, m):
+            a, b = b, a
+        cands = {0}
+        if a[0] != 0:
+            q = Fraction(b[0], a[0])
+            cands.update((math.floor(q), math.ceil(q)))
+        da = a[0] * m - a[1]
+        if da != 0:
+            q = (b[0] * m - b[1]) / da
+            cands.update((math.floor(q), math.ceil(q)))
+        best_q, best_n = 0, _norm_mid(*b, body, m)
+        for q0 in cands:
+            for q in (q0 - 1, q0, q0 + 1):
+                if q == 0:
+                    continue
+                v = (b[0] - q * a[0], b[1] - q * a[1])
+                nv = _norm_mid(*v, body, m)
+                if nv < best_n:
+                    best_q, best_n = q, nv
+        if best_q == 0:
+            return a, b
+        b = (b[0] - best_q * a[0], b[1] - best_q * a[1])
+    raise mm.PrecisionExhausted("basis reduction did not settle")
+
+
 def _window_points(body, lat, E, window):
-    a, b = mm._gauss_reduce(body, lat, E.mid)
+    a, b = _gauss_reduce_reference(body, lat, E.mid)
     return [(pa * a[0] + pb * b[0], pa * a[1] + pb * b[1])
             for pa in range(-window, window + 1) for pb in range(-window, window + 1)
             if (pa, pb) != (0, 0)]
 
 
-def _enumerate_reference(body, lat, E, window):
-    """The minima of one window by Fraction gauges and a stable sort."""
-    best = []
-    for v in _window_points(body, lat, E, window):
+def _score_reference(body, lat, E, window):
+    """(hi, lo, point, max(|pa|, |pb|)) of every window point in loop order."""
+    pts = _window_points(body, lat, E, window)
+    ring = [max(abs(pa), abs(pb)) for pa in range(-window, window + 1)
+            for pb in range(-window, window + 1) if (pa, pb) != (0, 0)]
+    scored = []
+    for v, r in zip(pts, ring):
         lo, hi = _norm_interval(v[0], v[1], body, E)
-        best.append((hi, lo, v))
-    best.sort(key=lambda t: (t[0], t[1]))
-    hi1, _, w1 = best[0]
-    lo1 = min(t[1] for t in best)
-    indep = [t for t in best if t[2][0] * w1[1] - t[2][1] * w1[0] != 0]
-    hi2, _, w2 = indep[0]
+        scored.append((hi, lo, v, r))
+    return scored
+
+
+def _select_reference(scored):
+    """The minima of scored points: the first least (hi, lo) in loop order."""
+    hi1, _, w1, _ = min(scored, key=lambda t: (t[0], t[1]))
+    lo1 = min(t[1] for t in scored)
+    indep = [t for t in scored if t[2][0] * w1[1] - t[2][1] * w1[0] != 0]
+    hi2, _, w2, _ = min(indep, key=lambda t: (t[0], t[1]))
     lo2 = max(min(t[1] for t in indep), lo1)
     return mm.RealInterval(lo1, hi1), mm.RealInterval(lo2, hi2), w1, w2
+
+
+def _enumerate_reference(body, lat, E, window):
+    """The minima of one window by Fraction gauges."""
+    return _select_reference(_score_reference(body, lat, E, window))
 
 
 def _assert_matches_reference(body, lat, E, windows):
@@ -151,6 +198,38 @@ def test_integer_gauge_matches_reference(n):
             _enumerate_reference(body, lat, E, 8), _enumerate_reference(body, lat, E, 2)]
 
 
+@functools.cache
+def _sandwich_inputs(n):
+    """The e^3 intervals sandwich_row(n) hands to minima2, the settled one last."""
+    tried, real = [], mm.minima2
+
+    def spy(body, lat, E, **kw):
+        tried.append(E)
+        return real(body, lat, E, **kw)
+
+    with mock.patch.object(mm, "minima2", spy):
+        mm.sandwich_row(n)
+    return tried
+
+
+@pytest.mark.parametrize("n", range(1, 52))
+def test_integer_reduction_matches_fraction_reduction(n):
+    # every bits sandwich_row tries, the one it settles on included
+    body, lat = mm.e3_body(n), mm.exp_lattice(n, 3, 3)
+    for E in _sandwich_inputs(n):
+        assert mm._gauss_reduce(body, lat, E.mid) == _gauss_reduce_reference(body, lat, E.mid)
+
+
+@pytest.mark.parametrize("n", range(35, 52))
+def test_half_window_matches_reference_on_escalated_rows(n):
+    # rows 35-51 settle only at doubled bits; both windows minima2 reads
+    body, lat = mm.e3_body(n), mm.exp_lattice(n, 3, 3)
+    E = _sandwich_inputs(n)[-1]
+    scored = _score_reference(body, lat, E, 64)
+    want = [_select_reference([t for t in scored if t[3] <= w]) for w in (32, 64)]
+    assert mm._enumerate_minima(body, lat, E, 32, 64) == want
+
+
 _WIDE = mm.RealInterval(Fraction(-1, 2), Fraction(7, 3))
 
 
@@ -207,6 +286,7 @@ def test_integer_gauge_matches_reference_random(inputs, window):
         with pytest.raises(mm.PrecisionExhausted):
             mm._enumerate_minima(body, lat, E, window, 2 * window)
         return
+    assert mm._gauss_reduce(body, lat, E.mid) == _gauss_reduce_reference(body, lat, E.mid)
     assert mm._enumerate_minima(body, lat, E, window, 2 * window) == want
 
 
